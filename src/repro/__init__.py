@@ -86,8 +86,6 @@ def run_pipeline(
     checkpoint=None,
     stage_hooks=None,
     telemetry=None,
-    workers: Optional[int] = None,
-    executor: Optional[str] = None,
     selection_fn=None,
     link_extractor=None,
     pretrained_classifier=None,
@@ -108,15 +106,6 @@ def run_pipeline(
     span tracer and metrics registry — pass one built around an enabled
     :class:`~repro.obs.Tracer` to capture a trace (DESIGN.md §9).
 
-    ``workers`` runs the §4.2 crawl on a parallel executor with
-    crawl→funnel streaming overlap (DESIGN.md §10); ``None`` falls
-    back to the world's :attr:`~repro.synth.world.WorldConfig.
-    crawl_workers` (itself ``None`` = serial).  ``executor`` picks the
-    backend — ``"thread"`` (sharded lanes) or ``"process"`` (true
-    multi-core lanes with a shared-memory raster arena); ``None`` falls
-    back to :attr:`~repro.synth.world.WorldConfig.crawl_executor`.
-    Results are bit-identical for any executor × worker count.
-
     ``vision_cache`` / ``persist`` plug in a persistent store's warm
     memos (see :mod:`repro.store`); both preserve bit-identity of every
     measured quantity — a warm run only *skips recomputation*.
@@ -132,10 +121,6 @@ def run_pipeline(
         vision_cache=vision_cache,
     )
     truth = world.forums
-    if workers is None:
-        workers = world.config.crawl_workers
-    if executor is None:
-        executor = world.config.crawl_executor
     top_n = max(10, int(round(50 * math.sqrt(world.config.scale))))
     return pipeline.run(
         top_oracle=lambda thread_id: truth.thread_types.get(thread_id) == "top",
@@ -146,7 +131,5 @@ def run_pipeline(
         checkpoint=checkpoint,
         stage_hooks=stage_hooks,
         telemetry=telemetry,
-        crawl_workers=workers,
-        crawl_executor=executor,
         persist=persist,
     )

@@ -57,7 +57,6 @@ for SIGINT, 143 for SIGTERM).
 from __future__ import annotations
 
 import argparse
-import os
 import time
 from pathlib import Path
 from typing import Optional, Sequence
@@ -77,6 +76,7 @@ from .obs.export import (
 from .drift.profiles import DRIFT_PROFILES
 from .web.faults import FAULT_PROFILES
 from .web.payload_faults import PAYLOAD_PROFILES
+from .core.pipeline import MIN_ANNOTATE
 from .core.report_text import (
     render_digest,
     render_earnings,
@@ -87,6 +87,7 @@ from .core.report_text import (
     render_telemetry,
 )
 from .forum.store import save_dataset
+from .synth.world import MAX_SCALE
 
 __all__ = ["build_parser", "main"]
 
@@ -183,19 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
              "of aborting the measurement",
     )
     p_run.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="run the crawl on N sharded worker threads with crawl->vision "
-             "streaming overlap; results are bit-identical to the serial "
-             "crawl (default: serial)",
-    )
-    p_run.add_argument(
-        "--executor", choices=("thread", "process"), default=None,
-        help="crawl executor backing --workers: 'thread' (sharded worker "
-             "threads, the default) or 'process' (fork-based process pool "
-             "with shared-memory rasters and work stealing); either way "
-             "the output is bit-identical to the serial crawl",
-    )
-    p_run.add_argument(
         "--store", type=Path, default=None, metavar="STORE",
         help="persist this run into a SQLite run store and reuse every "
              "memo it already holds; repeated runs with increasing "
@@ -208,9 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
              "--store; default: the full timeline)",
     )
     p_run.add_argument(
-        "--epoch-total", type=int, default=1, metavar="N",
+        "--epoch-total", type=int, default=None, metavar="N",
         help="number of equal-population observation epochs the world's "
-             "timeline is divided into (default 1)",
+             "timeline is divided into (requires --store; default 1)",
     )
 
     p_tables = sub.add_parser("tables", help="run the measurement and write table files")
@@ -236,10 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--defenses", choices=("off", "on", "both"), default="both",
         help="run the static instrument (off), the adaptive one (on), "
              "or both for comparison (default both)",
-    )
-    p_drift.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="crawl worker threads per epoch run (default: serial)",
     )
     p_drift.add_argument(
         "--out", type=Path, default=None,
@@ -469,18 +453,7 @@ def _write_trace_artifacts(args, report, telemetry, log) -> None:
         len(telemetry.tracer.spans()),
         telemetry.tracer.n_events,
     )
-    workers = getattr(args, "workers", None)
-    executor = {
-        "executor": (
-            (getattr(args, "executor", None) or "thread")
-            if workers is not None else None
-        ),
-        "workers": workers,
-        "cpu_count": os.cpu_count(),
-    }
-    manifest = build_manifest(
-        report, seed=args.seed, config=config, executor=executor
-    )
+    manifest = build_manifest(report, seed=args.seed, config=config)
     manifest_path = write_manifest(manifest_path_for(trace_path), manifest)
     log.info("wrote run manifest %s", manifest_path)
 
@@ -568,7 +541,6 @@ def _run_drift_command(args, log) -> int:
             seed=args.seed,
             scale=args.scale,
             defenses=defense_config,
-            workers=args.workers,
         )
         log.info("%s done [%.1fs]", key, time.perf_counter() - start)
         payload["runs"][key] = report.as_dict()
@@ -603,13 +575,13 @@ def _run_store_command(args, log) -> int:
         payload_profile=args.payload_profile,
         drift_profile=args.drift_profile,
         drift_epoch=args.drift_epoch if args.drift_profile else 0,
-        epoch_total=args.epoch_total,
+        epoch_total=args.epoch_total or 1,
     )
     telemetry = _make_run_telemetry(args)
     log.info(
         "store run: %s epoch=%s/%d",
         args.store, args.epoch if args.epoch is not None else "full",
-        args.epoch_total,
+        config.epoch_total,
     )
     start = time.perf_counter()
     try:
@@ -619,8 +591,6 @@ def _run_store_command(args, log) -> int:
             config=config,
             annotate_n=args.annotate,
             strict=not args.lenient,
-            workers=args.workers,
-            executor=getattr(args, "executor", None),
             telemetry=telemetry,
         )
     except StoreError as exc:
@@ -964,6 +934,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.exit_code
 
 
+def _check_world_args(args) -> None:
+    """Reject out-of-range world and run options with a one-line message."""
+    if not 0 < args.scale <= MAX_SCALE:
+        raise SystemExit(f"--scale must be in (0, {MAX_SCALE:g}], got {args.scale:g}")
+    annotate = getattr(args, "annotate", None)
+    if annotate is not None and annotate < MIN_ANNOTATE:
+        raise SystemExit(f"--annotate must be >= {MIN_ANNOTATE}, got {annotate}")
+    epoch_total = getattr(args, "epoch_total", None)
+    if epoch_total is not None and epoch_total < 1:
+        raise SystemExit(f"--epoch-total must be >= 1, got {epoch_total}")
+    epoch = getattr(args, "epoch", None)
+    if epoch is not None and getattr(args, "store", None) is not None:
+        total = epoch_total or 1
+        if not 1 <= epoch <= total:
+            raise SystemExit(
+                f"--epoch must be in [1, {total}] (--epoch-total), got {epoch}"
+            )
+
+
 def _dispatch(args, log) -> int:
     if args.command == "store":
         return _run_store_tool(args, log)
@@ -979,23 +968,22 @@ def _dispatch(args, log) -> int:
         return _run_obs_command(args, log)
 
     if args.command == "drift":
+        _check_world_args(args)
         return _run_drift_command(args, log)
 
     fault_profile = getattr(args, "fault_profile", None)
     payload_profile = getattr(args, "payload_profile", None)
     drift_profile = getattr(args, "drift_profile", None)
 
-    if (getattr(args, "executor", None) == "process"
-            and getattr(args, "workers", None) is None):
-        raise SystemExit(
-            "--executor process requires --workers N "
-            "(see 'repro run --help')"
-        )
-
+    _check_world_args(args)
     if getattr(args, "store", None) is not None:
         return _run_store_command(args, log)
     if getattr(args, "epoch", None) is not None:
         raise SystemExit("--epoch requires --store (see 'repro run --help')")
+    if getattr(args, "epoch_total", None) is not None:
+        raise SystemExit(
+            "--epoch-total requires --store (see 'repro run --help')"
+        )
 
     log.info(
         "building world",
@@ -1036,8 +1024,6 @@ def _dispatch(args, log) -> int:
             strict=not getattr(args, "lenient", False),
             checkpoint=getattr(args, "resume", None),
             telemetry=telemetry,
-            workers=getattr(args, "workers", None),
-            executor=getattr(args, "executor", None),
         )
     finally:
         _stop_profile(telemetry)

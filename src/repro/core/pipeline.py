@@ -47,7 +47,7 @@ from ..web.checkpoint import CrawlCheckpoint
 from ..web.crawler import CrawlResult, CrawledImage, Crawler
 from ..web.internet import SimulatedInternet
 from ..web.retry import RetryPolicy
-from .abuse_filter import AbuseFilter, AbuseFilterResult, StreamMatcher
+from .abuse_filter import AbuseFilter, AbuseFilterResult
 from .quarantine import Quarantine
 from .stage_runner import StageFailure, StageOutcome, StageRunner
 from .actors import (
@@ -70,7 +70,10 @@ from .provenance import ProvenanceAnalyzer, ProvenanceResult
 from .top_classifier import ExtractionStats, HybridTopClassifier, TopEvaluation
 from .url_extraction import LinkExtraction, extract_links
 
-__all__ = ["EwhoringPipeline", "PipelineReport"]
+__all__ = ["EwhoringPipeline", "MIN_ANNOTATE", "PipelineReport"]
+
+#: Fewest threads the §4.1 annotation sample may hold and still train.
+MIN_ANNOTATE = 10
 
 #: Oracles standing in for human work: thread id → is-TOP annotation,
 #: image id → proof ground truth (or None).
@@ -230,8 +233,6 @@ class EwhoringPipeline:
         checkpoint: Optional[Union[str, Path, CrawlCheckpoint]] = None,
         stage_hooks: Optional[Mapping[str, Callable[[], None]]] = None,
         telemetry: Optional[RunTelemetry] = None,
-        crawl_workers: Optional[int] = None,
-        crawl_executor: Optional[str] = None,
         persist: Optional[object] = None,
     ) -> PipelineReport:
         """Execute the full measurement and return the report.
@@ -248,21 +249,6 @@ class EwhoringPipeline:
         values are always recorded while span tracing stays
         zero-cost-off.  The same object rides out on
         :attr:`PipelineReport.telemetry`.
-
-        ``crawl_workers`` switches the §4.2 crawl to a parallel executor
-        (per-domain lanes) **and** overlaps it with the downstream
-        vision work: lane completions stream through a
-        :class:`~repro.core.abuse_filter.StreamMatcher` that hashes,
-        validates, NSFW-scores, OCRs and reverse-searches images while
-        later lanes are still crawling, so the whole §3 funnel runs as a
-        pipeline rather than a sequence of barriers.  ``crawl_executor``
-        selects the backend: ``"thread"`` (default, GIL-bound lanes via
-        :mod:`repro.web.parallel`) or ``"process"`` (true multi-core via
-        :mod:`repro.web.procpool`; rasters return through a
-        shared-memory arena).  Every measured quantity — the crawl
-        digest, the quarantine ledger, the deterministic telemetry view
-        — is bit-identical for any executor × worker count (``None``
-        workers = the serial loop).
 
         ``persist`` is a warm-memo bundle (duck-typed as
         :class:`~repro.store.incremental.PersistSession`) carrying the
@@ -290,8 +276,7 @@ class EwhoringPipeline:
             report = self._run_stages(
                 runner, tele, quarantine,
                 top_oracle, proof_oracle, annotate_n, train_fraction,
-                min_ce_posts, key_actor_top_n, checkpoint, crawl_workers,
-                crawl_executor, persist,
+                min_ce_posts, key_actor_top_n, checkpoint, persist,
             )
         return report
 
@@ -308,8 +293,6 @@ class EwhoringPipeline:
         min_ce_posts: int,
         key_actor_top_n: int,
         checkpoint: Optional[Union[str, Path, CrawlCheckpoint]],
-        crawl_workers: Optional[int] = None,
-        crawl_executor: Optional[str] = None,
         persist: Optional[object] = None,
     ) -> PipelineReport:
         """The stage chain, executed inside the ``pipeline.run`` span."""
@@ -354,34 +337,14 @@ class EwhoringPipeline:
                     persist.ingest_memo("url_crawl") if persist is not None else None
                 ),
             )
-            stream: Optional[StreamMatcher] = None
-            if crawl_workers is not None:
-                # Crawl→funnel overlap: finished lanes stream their
-                # images through validation, batched hashing, NSFW/OCR
-                # scoring and NSFV-preview reverse search while later
-                # lanes are still crawling.  The downstream stages
-                # consume the precomputed results in canonical order.
-                stream = StreamMatcher(
-                    cache=self.vision_cache,
-                    validate=True,
-                    validation_memo=(
-                        persist.validation_memo if persist is not None else None
-                    ),
-                    nsfv=self.nsfv,
-                    reverse_index=self.reverse_index,
-                )
             result = crawler.crawl(
                 links.all_links,
                 checkpoint=checkpoint,
                 quarantine=quarantine,
                 stage="url_crawl",
                 tracer=tele.tracer,
-                workers=crawl_workers,
-                executor=crawl_executor,
-                on_lane=stream.on_lane if stream is not None else None,
-                metrics=tele.metrics,
             )
-            return links, result, stream
+            return links, result
 
         crawl_out, _ = runner.run(
             "url_crawl",
@@ -389,9 +352,7 @@ class EwhoringPipeline:
             requires=("top_extraction",),
             context={"n_tops": len(tops) if tops is not None else 0},
         )
-        links, crawl, stream = (
-            crawl_out if crawl_out is not None else (None, None, None)
-        )
+        links, crawl = crawl_out if crawl_out is not None else (None, None)
 
         # ---- stage 3: abuse filter ----------------------------------
         def _stage_abuse():
@@ -405,7 +366,6 @@ class EwhoringPipeline:
                 crawl.all_images,
                 dataset=self.dataset,
                 quarantine=quarantine,
-                precomputed=stream,
             )
             clean_previews = [c for c in crawl.preview_images if abuse.is_clean(c)]
             clean_pack_images = [c for c in crawl.pack_images if abuse.is_clean(c)]
@@ -439,7 +399,6 @@ class EwhoringPipeline:
                 digests=[c.digest for c in previews],
                 cache=self.vision_cache,
                 tracer=tele.tracer,
-                precomputed=stream,
             )
             preview_verdicts = list(zip(previews, verdicts))
             return preview_verdicts, [c for c, v in preview_verdicts if v.nsfv]
@@ -466,7 +425,6 @@ class EwhoringPipeline:
                 clean_pack_images,
                 nsfv_previews,
                 quarantine=quarantine,
-                precomputed=stream,
             )
 
         provenance, _ = runner.run(
@@ -657,7 +615,7 @@ class EwhoringPipeline:
         """Annotate a sample (§4.1: 1 000 threads), train, evaluate."""
         rng = np.random.default_rng(self.seed)
         n_sample = min(annotate_n, len(selection))
-        if n_sample < 10:
+        if n_sample < MIN_ANNOTATE:
             raise ValueError("selection too small to annotate and train on")
         indices = rng.choice(len(selection), size=n_sample, replace=False)
         annotated = [selection[int(i)] for i in indices]

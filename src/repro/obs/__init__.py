@@ -137,19 +137,6 @@ class RunTelemetry:
     #: are outside the bit-identity contract of :meth:`measurement_view`.
     WORK_METRIC_PREFIXES = ("vision_cache.", "store.", "internet.")
 
-    #: Exact metric names describing executor shape rather than the
-    #: world: ``crawl.lanes`` exists only when a parallel executor runs
-    #: (serial crawls never emit it), and the chunk/steal/arena gauges
-    #: describe the process pool's scheduling, so none can be part of a
-    #: contract that holds across executors and worker counts.
-    WORK_METRIC_NAMES = (
-        "crawl.lanes",
-        "crawl.chunks",
-        "crawl.steals",
-        "crawl.arena_bytes",
-        "crawl.arena_segments",
-    )
-
     def measurement_view(self) -> dict:
         """The run's *measured quantities*: the incremental-≡-cold contract.
 
@@ -165,7 +152,6 @@ class RunTelemetry:
             metric
             for metric in snapshot["metrics"]
             if not metric["name"].startswith(self.WORK_METRIC_PREFIXES)
-            and metric["name"] not in self.WORK_METRIC_NAMES
         ]
         return snapshot
 

@@ -82,7 +82,6 @@ MANIFEST_KEYS = (
     "quarantine",
     "vision_cache",
     "crawl",
-    "executor",
 )
 
 
@@ -210,7 +209,6 @@ def build_manifest(
     seed: Optional[int] = None,
     config: Optional[Mapping[str, Any]] = None,
     top_n_spans: int = 10,
-    executor: Optional[Mapping[str, Any]] = None,
 ) -> Dict[str, Any]:
     """The run manifest of one :class:`~repro.core.pipeline.PipelineReport`.
 
@@ -218,11 +216,6 @@ def build_manifest(
     stage table, quarantine ledger, vision-cache and crawl statistics
     come from the report's own sections through the common
     ``as_dict()`` snapshot protocol.
-
-    ``executor`` is the crawl-executor shape of the run — a mapping with
-    ``executor``/``workers``/``cpu_count`` — recorded so manifests from
-    thread and process runs can be told apart; it is environment, not
-    measurement, so :func:`deterministic_manifest_view` drops it.
     """
     telemetry = getattr(report, "telemetry", None)
     funnel = telemetry.funnel() if telemetry is not None else []
@@ -272,7 +265,6 @@ def build_manifest(
         "quarantine": quarantine.as_dict() if quarantine is not None else None,
         "vision_cache": cache_stats.as_dict() if cache_stats is not None else None,
         "crawl": crawl.stats.as_dict() if crawl is not None else None,
-        "executor": dict(executor) if executor is not None else None,
     }
 
 
@@ -286,8 +278,9 @@ def write_manifest(path: Union[str, Path], manifest: Mapping[str, Any]) -> Path:
 def deterministic_manifest_view(manifest: Mapping[str, Any]) -> Dict[str, Any]:
     """The manifest minus every timing-bearing field.
 
-    Drops ``created_unix``, ``versions`` and ``executor`` (environment,
-    not measurement), ``slowest_spans``/``n_spans``/``n_events``
+    Drops ``created_unix``, ``versions`` and, in manifests written by
+    older releases, ``executor`` (environment, not measurement),
+    ``slowest_spans``/``n_spans``/``n_events``
     (present only when tracing is on), per-stage ``elapsed_seconds``
     and every ``*_seconds`` metric.  Two runs of one seed must agree on the
     result exactly — with tracing on, off, or mixed.

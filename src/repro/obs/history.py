@@ -52,13 +52,8 @@ class HistorySummary:
     n_records: Optional[int] = None
     n_quarantined: Optional[int] = None
     profiled: bool = False
-    #: Crawl executor shape of the run (``None`` = serial crawl): these
-    #: let ``repro obs runs|diff|regressions`` compare like with like
-    #: instead of silently mixing thread and process runs.
-    executor: Optional[str] = None
-    workers: Optional[int] = None
-    #: ``os.cpu_count()`` of the recording machine — a 1-core process
-    #: run regressing against a 16-core one is signal, not noise.
+    #: ``os.cpu_count()`` of the recording machine — a run on one core
+    #: regressing against a 16-core one is signal, not noise.
     cpu_count: Optional[int] = None
     #: :func:`~repro.obs.profile.aggregate_spans` rows.
     spans: List[Dict[str, Any]] = field(default_factory=list)
@@ -92,8 +87,6 @@ def summarize_run(
     wall_seconds: Optional[float] = None,
     label: Optional[str] = None,
     created_unix: Optional[float] = None,
-    executor: Optional[str] = None,
-    workers: Optional[int] = None,
 ) -> HistorySummary:
     """Condense a live :class:`~repro.obs.RunTelemetry` into history form.
 
@@ -132,8 +125,6 @@ def summarize_run(
         n_records=_funnel_lookup(funnel, "images_downloaded"),
         n_quarantined=_funnel_lookup(funnel, "quarantined_records"),
         profiled=profiled,
-        executor=executor if workers is not None else None,
-        workers=workers,
         cpu_count=os.cpu_count(),
         spans=span_rows,
         metrics=telemetry.deterministic_snapshot()["metrics"],

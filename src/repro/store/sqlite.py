@@ -56,11 +56,8 @@ __all__ = ["RunStore", "config_fingerprint"]
 _SCHEMA_VERSION = 1
 
 #: WorldConfig fields excluded from the identity fingerprint: the epoch
-#: is the watermark axis (it *varies* across runs of one store), and the
-#: worker count and executor backend are pure throughput knobs that
-#: provably cannot change any measurement (the PR 5 / PR 10 bit-identity
-#: invariant), so thread and process runs may share one store.
-_FINGERPRINT_EXCLUDED = ("epoch", "crawl_workers", "crawl_executor")
+#: is the watermark axis (it *varies* across runs of one store).
+_FINGERPRINT_EXCLUDED = ("epoch",)
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -247,7 +244,8 @@ def config_fingerprint(config) -> str:
     Two runs share a store iff their fingerprints match: same seed,
     scale, fault/payload/drift profiles and rates.  The observation
     ``epoch`` is deliberately excluded (it is the watermark, not the
-    identity) and so is ``crawl_workers`` (bit-identical by PR 5).
+    identity).  Fingerprints written before the crawl-executor options
+    were removed also left those out, so older stores still bind.
     """
     payload = asdict(config)
     for excluded in _FINGERPRINT_EXCLUDED:
@@ -308,9 +306,10 @@ class RunStore:
         self._migrate_history_executor()
 
     def _migrate_history_executor(self) -> None:
-        # Additive, nullable executor-shape columns (PR 10).  Idempotent
-        # ALTERs keep old stores readable without a version bump: a NULL
-        # simply means the row predates executor recording.
+        # Additive, nullable history columns.  Idempotent ALTERs keep old
+        # stores readable without a version bump.  ``executor`` and
+        # ``workers`` record the parallel crawls of older releases; rows
+        # written now leave them NULL, which means a serial crawl.
         existing = {
             row[1]
             for row in self._conn.execute("PRAGMA table_info(history_runs)")
@@ -941,9 +940,8 @@ class RunStore:
             "INSERT INTO history_runs "
             "(run_id, source, label, created_unix, seed, epoch, "
             " wall_seconds, cpu_seconds, peak_rss_kb, n_spans, n_events, "
-            " n_records, n_quarantined, profiled, executor, workers, "
-            " cpu_count) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            " n_records, n_quarantined, profiled, cpu_count) "
+            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
             (
                 run_id,
                 summary.source,
@@ -959,9 +957,7 @@ class RunStore:
                 summary.n_records,
                 summary.n_quarantined,
                 int(bool(summary.profiled)),
-                getattr(summary, "executor", None),
-                getattr(summary, "workers", None),
-                getattr(summary, "cpu_count", None),
+                summary.cpu_count,
             ),
         )
         history_id = int(cursor.lastrowid)

@@ -60,6 +60,9 @@ __all__ = [
 #: Latest date the TinEye-analogue could have crawled anything.
 _CRAWL_HORIZON = datetime(2019, 9, 30)
 
+#: Largest accepted :attr:`WorldConfig.scale` (twice the paper's size).
+MAX_SCALE = 2.0
+
 #: Full-scale supply-side sizes (see DESIGN.md calibration notes).
 _FULL_MODELS = 900
 _FULL_ORIGIN_SITES = 7000
@@ -98,18 +101,6 @@ class WorldConfig:
     #: never mutated — and uses its own seed stream, so world *content*
     #: is identical across profiles.
     payload_profile: Optional[str] = None
-    #: Default worker count for the §4.2 crawl: ``None`` runs the serial
-    #: loop, ``N >= 1`` the sharded executor of :mod:`repro.web.parallel`
-    #: (bit-identical results either way — a pure throughput knob that
-    #: perturbs neither world content nor any measurement).
-    crawl_workers: Optional[int] = None
-    #: Executor backend for parallel crawls: ``"thread"`` (default,
-    #: sharded lanes of :mod:`repro.web.parallel`) or ``"process"``
-    #: (true multi-core lanes of :mod:`repro.web.procpool`).  Like
-    #: ``crawl_workers`` this is a pure throughput knob: results are
-    #: bit-identical across executors, and it is ignored when
-    #: ``crawl_workers`` is ``None``.
-    crawl_executor: str = "thread"
     #: Named adversarial-drift profile (see :data:`repro.drift.profiles.
     #: DRIFT_PROFILES`) applied to the freshly built world, or ``None``
     #: (≡ ``"none"``) for the static paper-world.  Drift mutations are a
@@ -133,14 +124,8 @@ class WorldConfig:
     epoch_total: int = 1
 
     def __post_init__(self) -> None:
-        if self.scale <= 0 or self.scale > 2.0:
-            raise ValueError("scale must be in (0, 2]")
-        if self.crawl_workers is not None and self.crawl_workers < 1:
-            raise ValueError("crawl_workers must be >= 1 or None")
-        if self.crawl_executor not in ("thread", "process"):
-            raise ValueError(
-                f"crawl_executor must be 'thread' or 'process', got {self.crawl_executor!r}"
-            )
+        if not 0 < self.scale <= MAX_SCALE:
+            raise ValueError(f"scale must be in (0, {MAX_SCALE:g}]")
         if self.fault_profile is not None:
             fault_profile(self.fault_profile)  # validate the name eagerly
         if self.payload_profile is not None:

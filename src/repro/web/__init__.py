@@ -22,14 +22,6 @@ from .crawler import (
     ShardState,
     content_digest,
 )
-from .parallel import (
-    Lane,
-    ReorderBuffer,
-    crawl_sharded,
-    merge_outcomes,
-    partition_lanes,
-)
-from .procpool import crawl_procpool
 from .faults import (
     FAULT_PROFILES,
     DomainFaultSpec,
@@ -92,7 +84,6 @@ __all__ = [
     "HostedResource",
     "HostingService",
     "IMAGE_SHARING_SERVICES",
-    "Lane",
     "LinkAttempt",
     "LinkAttemptLog",
     "LinkOutcome",
@@ -102,7 +93,6 @@ __all__ = [
     "PayloadFaultInjector",
     "PayloadFaultProfile",
     "PayloadFaultSpec",
-    "ReorderBuffer",
     "RetryPolicy",
     "ScriptedFaultInjector",
     "ServiceKind",
@@ -115,14 +105,10 @@ __all__ = [
     "all_services",
     "content_digest",
     "corrupt_raster",
-    "crawl_procpool",
-    "crawl_sharded",
     "extract_urls",
-    "merge_outcomes",
     "fault_profile",
     "link_key",
     "normalize_url",
-    "partition_lanes",
     "payload_profile",
     "registrable_domain",
     "service_by_domain",

@@ -25,19 +25,6 @@ TEST_SEED = 7
 #: payload, so the suite must still pass.
 PAYLOAD_PROFILE = os.environ.get("REPRO_TEST_PAYLOAD_PROFILE") or None
 
-#: CI parallel leg: set REPRO_TEST_CRAWL_WORKERS=4 to run every shared
-#: pipeline crawl through the sharded executor with crawl→vision
-#: streaming (bit-identical to serial, so the whole suite must pass
-#: unchanged for any worker count).
-_workers = os.environ.get("REPRO_TEST_CRAWL_WORKERS")
-CRAWL_WORKERS = int(_workers) if _workers else None
-
-#: CI multi-core leg: set REPRO_TEST_CRAWL_EXECUTOR=process (with
-#: REPRO_TEST_CRAWL_WORKERS=N) to back every shared pipeline crawl with
-#: the fork-based process pool instead of worker threads — also
-#: bit-identical to serial, so the suite must pass unchanged.
-CRAWL_EXECUTOR = os.environ.get("REPRO_TEST_CRAWL_EXECUTOR") or "thread"
-
 
 @pytest.fixture(scope="session")
 def world():
@@ -51,8 +38,6 @@ def world():
             underage_rate=0.30,
             hashlist_rate=0.5,
             payload_profile=PAYLOAD_PROFILE,
-            crawl_workers=CRAWL_WORKERS,
-            crawl_executor=CRAWL_EXECUTOR,
         )
     )
 

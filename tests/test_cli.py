@@ -1,5 +1,10 @@
 """Tests for the command-line interface and text renderers."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -14,6 +19,7 @@ from repro.core.report_text import (
 from repro.forum import load_dataset
 
 CLI_WORLD = ["--seed", "3", "--scale", "0.006"]
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestParser:
@@ -56,6 +62,60 @@ class TestParser:
     def test_lenient_flag(self):
         args = build_parser().parse_args(["run", "--lenient"])
         assert args.lenient is True
+
+
+class TestArgumentChecks:
+    """Out-of-range options stop at the CLI boundary with one line."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["run", "--scale", "0"], "--scale must be in (0, 2], got 0"),
+            (["run", "--scale", "-1"], "--scale must be in (0, 2], got -1"),
+            (["build", "--scale", "0", "--out", "w.jsonl"], "--scale must be"),
+            (["drift", "--scale", "3"], "--scale must be in (0, 2], got 3"),
+            (["run", "--annotate", "-5"], "--annotate must be >= 10, got -5"),
+            (["run", "--epoch-total", "0"], "--epoch-total must be >= 1, got 0"),
+            (["run", "--epoch-total", "2"], "--epoch-total requires --store"),
+            (["run", "--epoch", "1"], "--epoch requires --store"),
+        ],
+        ids=["scale-0", "scale-negative", "build-scale-0", "drift-scale-3",
+             "annotate-negative", "epoch-total-0", "epoch-total-without-store",
+             "epoch-without-store"],
+    )
+    def test_rejected(self, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert str(excinfo.value.code).startswith(message)
+
+    @pytest.mark.parametrize(
+        "epoch_args,message",
+        [
+            (["--epoch", "0"], "--epoch must be in [1, 1] (--epoch-total), got 0"),
+            (["--epoch", "3", "--epoch-total", "2"],
+             "--epoch must be in [1, 2] (--epoch-total), got 3"),
+            (["--epoch", "1", "--epoch-total", "0"],
+             "--epoch-total must be >= 1, got 0"),
+        ],
+        ids=["epoch-0", "epoch-above-total", "epoch-total-0"],
+    )
+    def test_store_epoch_rejected(self, tmp_path, epoch_args, message):
+        store = tmp_path / "s.sqlite"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--store", str(store), *epoch_args])
+        assert excinfo.value.code == message
+        assert not store.exists()
+
+    def test_one_line_and_nonzero_exit(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "run", "--scale", "0"],
+            env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode != 0
+        assert proc.stderr.splitlines() == ["--scale must be in (0, 2], got 0"]
 
 
 class TestRenderers:

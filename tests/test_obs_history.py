@@ -8,6 +8,7 @@ violations, diffs) and the ``repro obs`` CLI exit-code contract.
 from __future__ import annotations
 
 import json
+import sqlite3
 
 import pytest
 
@@ -138,6 +139,8 @@ class TestStoreRoundTrip:
         assert run["wall_seconds"] == pytest.approx(1.5)
         assert run["profiled"]
         assert run["n_records"] == 40
+        # Crawls are serial: new rows leave the executor columns NULL.
+        assert run["executor"] is None and run["workers"] is None
         assert {r["stage"] for r in run["funnel"]} == {
             "threads_selected",
             "images_downloaded",
@@ -379,6 +382,25 @@ class TestObsCli:
             ["obs", "regressions", "--store", str(store_path),
              "--slo", str(slo)]
         ) == 2
+
+    def test_rows_of_parallel_crawls_still_render(self, tmp_path, capsys):
+        # Older releases recorded the crawl executor of each run.
+        path = tmp_path / "older.sqlite"
+        with RunStore(path) as store:
+            first = record_history(store, _summary(wall=1.0))
+            record_history(store, _summary(wall=1.1))
+        conn = sqlite3.connect(str(path))
+        conn.execute(
+            "UPDATE history_runs SET executor='process', workers=4 "
+            "WHERE history_id=?", (first,),
+        )
+        conn.commit()
+        conn.close()
+        assert main(["obs", "runs", "--store", str(path)]) == 0
+        assert "process/4" in capsys.readouterr().out
+        assert main(["obs", "diff", "1", "2", "--store", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "executors: #1 process/4" in out and "#2 -" in out
 
     def test_top_without_store_or_trace_exits_2(self):
         assert main(["obs", "top"]) == 2

@@ -4,8 +4,7 @@ Covers the two contracts that make ``--profile`` safe to ship:
 
 * **observer purity** — a profiled run's crawl digest, quarantine
   ledger and ``measurement_view()`` are bit-identical to an unprofiled
-  run of the same seed, across worker counts and fault/payload
-  profiles, because every ``profile.*`` attribute is a runtime metric
+  run of the same seed, across fault/payload profiles, because every ``profile.*`` attribute is a runtime metric
   excluded from the deterministic views;
 * **aggregation correctness** — :func:`aggregate_spans` computes
   self-time (duration minus direct children), cpu/rss/alloc roll-ups
@@ -44,14 +43,11 @@ def _small_world(**overrides):
     return build_world(**kwargs)
 
 
-def _run(world, tracer=None, workers=None):
+def _run(world, tracer=None):
     telemetry = RunTelemetry(tracer=tracer)
     try:
         report = run_pipeline(
-            world,
-            annotate_n=SMALL_ANNOTATE,
-            telemetry=telemetry,
-            workers=workers,
+            world, annotate_n=SMALL_ANNOTATE, telemetry=telemetry
         )
     finally:
         if tracer is not None and getattr(tracer, "profiled", False):
@@ -204,26 +200,19 @@ class TestAggregateSpans:
 class TestObserverPurity:
     """Profiling must not perturb the measurement — property-tested."""
 
-    @pytest.mark.parametrize("workers", [None, 4])
     @pytest.mark.parametrize(
         "fault_profile,payload_profile",
         [(None, None), ("flaky", "dirty")],
     )
-    def test_profiled_run_bit_identical(
-        self, workers, fault_profile, payload_profile
-    ):
+    def test_profiled_run_bit_identical(self, fault_profile, payload_profile):
         overrides = {}
         if fault_profile:
             overrides["fault_profile"] = fault_profile
         if payload_profile:
             overrides["payload_profile"] = payload_profile
-        report_off, tele_off = _run(
-            _small_world(**overrides), tracer=None, workers=workers
-        )
+        report_off, tele_off = _run(_small_world(**overrides))
         report_prof, tele_prof = _run(
-            _small_world(**overrides),
-            tracer=_profiler(allocations=True),
-            workers=workers,
+            _small_world(**overrides), tracer=_profiler(allocations=True)
         )
         assert report_off.crawl.digest() == report_prof.crawl.digest()
         assert tele_off.measurement_view() == tele_prof.measurement_view()

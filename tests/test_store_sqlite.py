@@ -27,6 +27,16 @@ from repro.web.crawler import IngestMemo
 
 T0 = datetime(2014, 6, 15, 12, 30)
 
+#: ``config_fingerprint(WorldConfig(seed=7, scale=0.01, epoch_total=3))``
+#: as stores recorded it when any crawl could run in parallel.
+OLDER_FINGERPRINT = (
+    '{"archive_coverage": 0.35, "drift_epoch": 0, "drift_profile": null, '
+    '"epoch_total": 3, "fault_profile": null, "hashlist_radius": 10, '
+    '"hashlist_rate": 0.055, "payload_profile": null, '
+    '"reverse_index_radius": 9, "scale": 0.01, "seed": 7, '
+    '"underage_rate": 0.012, "with_other_activity": true}'
+)
+
 
 def small_dataset(n_posts: int = 3) -> ForumDataset:
     ds = ForumDataset()
@@ -86,15 +96,30 @@ class TestBindConfig:
         store.bind_config(cfg)
         store.bind_config(cfg)  # idempotent
 
-    def test_epoch_and_workers_are_not_identity(self, store):
+    def test_epoch_is_not_identity(self, store):
         from dataclasses import replace
 
         cfg = WorldConfig(seed=7, scale=0.01, epoch_total=3)
         store.bind_config(cfg)
-        store.bind_config(replace(cfg, epoch=2, crawl_workers=4))
+        store.bind_config(replace(cfg, epoch=2))
         assert config_fingerprint(cfg) == config_fingerprint(
-            replace(cfg, epoch=1, crawl_workers=8)
+            replace(cfg, epoch=1)
         )
+
+    def test_fingerprint_from_parallel_crawl_releases_binds(self, tmp_path):
+        # While WorldConfig still carried the crawl worker count and
+        # executor, stores persisted this fingerprint (both left out).
+        path = tmp_path / "older.sqlite"
+        RunStore(path).close()
+        conn = sqlite3.connect(str(path))
+        conn.execute(
+            "INSERT INTO meta (key, value) VALUES ('config_fingerprint', ?)",
+            (OLDER_FINGERPRINT,),
+        )
+        conn.commit()
+        conn.close()
+        with RunStore(path) as s:
+            s.bind_config(WorldConfig(seed=7, scale=0.01, epoch_total=3))
 
     def test_different_world_refused(self, store):
         store.bind_config(WorldConfig(seed=7, scale=0.01))

@@ -6,7 +6,11 @@ a crawl at an arbitrary point and resuming from the checkpoint yields a
 uninterrupted crawl.
 """
 
+import hashlib
+import json
+import shutil
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -266,3 +270,47 @@ class TestGracefulInterruption:
         # BaseException, so lenient stage boundaries can't absorb it —
         # an interrupted run stops, it doesn't half-continue.
         assert not issubclass(SignalInterrupt, Exception)
+
+
+class TestParallelWrittenCheckpoint:
+    """A checkpoint written by the former four-worker parallel crawl.
+
+    ``data/crawl_checkpoint_workers4.json`` was saved mid-crawl by
+    ``python -m repro.chaos.driver --mode crawl --seed 7 --scale 0.005
+    --fault-profile hostile --payload-profile hostile`` running four
+    crawl worker threads, killed at the second ``crawl.checkpoint.saved``
+    hit.  Its lanes
+    finished out of link order, so its completed set is not a prefix of
+    the serial crawl.  The serial crawl must still resume it exactly.
+    """
+
+    FIXTURE = Path(__file__).parent / "data" / "crawl_checkpoint_workers4.json"
+    #: Uninterrupted crawl digest and quarantine-ledger hash of this
+    #: world, as the release that wrote the fixture computed them.
+    DIGEST = "1f64fea20d13bbd4c7155f6f066dd8867f16fc94"
+    LEDGER_SHA1 = "fa5fd59cda62e3c97d18c56b15f587925fdc3643"
+
+    def _run(self, checkpoint=None):
+        from repro.chaos.driver import build_parser, run_crawl_mode
+
+        args = ["--mode", "crawl", "--seed", "7", "--scale", "0.005",
+                "--fault-profile", "hostile", "--payload-profile", "hostile"]
+        if checkpoint is not None:
+            args += ["--checkpoint", str(checkpoint)]
+        return run_crawl_mode(build_parser().parse_args(args))
+
+    def test_serial_resume_equals_uninterrupted(self, tmp_path):
+        path = tmp_path / "crawl.checkpoint.json"
+        shutil.copy(self.FIXTURE, path)
+        assert 0 < CrawlCheckpoint.load(path).n_completed
+
+        resumed = self._run(checkpoint=path)
+        fresh = tmp_path / "uninterrupted.checkpoint.json"
+        uninterrupted = self._run(checkpoint=fresh)
+        # Clocks, breakers, stats and settled links all agree too.
+        assert path.read_bytes() == fresh.read_bytes()
+        assert resumed["crawl_digest"] == uninterrupted["crawl_digest"] == self.DIGEST
+        assert resumed["quarantine"] == uninterrupted["quarantine"]
+        assert resumed["measurement"] == uninterrupted["measurement"]
+        ledger = json.dumps(resumed["quarantine"], sort_keys=True).encode()
+        assert hashlib.sha1(ledger).hexdigest() == self.LEDGER_SHA1
