@@ -51,7 +51,6 @@ def pipeline_for_world(
     selection_fn=None,
     link_extractor=None,
     pretrained_classifier=None,
-    vision_cache=None,
 ) -> EwhoringPipeline:
     """Wire an :class:`EwhoringPipeline` to a synthetic world's components.
 
@@ -59,9 +58,6 @@ def pipeline_for_world(
     the adversarial-drift injection points (see
     :class:`~repro.core.pipeline.EwhoringPipeline`); left ``None`` the
     pipeline reproduces the paper's static methodology exactly.
-    ``vision_cache`` supplies a pre-warmed
-    :class:`~repro.vision.cache.VisionCache` (a persistent store's
-    digest-keyed memo); ``None`` creates a fresh per-pipeline cache.
     """
     return EwhoringPipeline(
         dataset=world.dataset,
@@ -74,7 +70,6 @@ def pipeline_for_world(
         selection_fn=selection_fn,
         link_extractor=link_extractor,
         pretrained_classifier=pretrained_classifier,
-        vision_cache=vision_cache,
     )
 
 
@@ -89,7 +84,6 @@ def run_pipeline(
     selection_fn=None,
     link_extractor=None,
     pretrained_classifier=None,
-    vision_cache=None,
     persist=None,
 ) -> PipelineReport:
     """Run the full measurement over a world using its ground-truth oracles.
@@ -106,9 +100,12 @@ def run_pipeline(
     span tracer and metrics registry — pass one built around an enabled
     :class:`~repro.obs.Tracer` to capture a trace (DESIGN.md §9).
 
-    ``vision_cache`` / ``persist`` plug in a persistent store's warm
-    memos (see :mod:`repro.store`); both preserve bit-identity of every
-    measured quantity — a warm run only *skips recomputation*.
+    The run memoises its per-record work (render / validate / digest /
+    hash / score) by content digest, always.  ``persist`` (a
+    :class:`~repro.store.incremental.PersistSession`) lends it a
+    persistent store's warm memos (see :mod:`repro.store`); omitted, the
+    run starts from empty ones.  Either way every measured quantity is
+    bit-identical — a warm run only *skips recomputation*.
     """
     import math
 
@@ -118,7 +115,6 @@ def run_pipeline(
         selection_fn=selection_fn,
         link_extractor=link_extractor,
         pretrained_classifier=pretrained_classifier,
-        vision_cache=vision_cache,
     )
     truth = world.forums
     top_n = max(10, int(round(50 * math.sqrt(world.config.scale))))

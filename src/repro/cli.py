@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume", type=Path, nargs="?", const=Path("crawl.checkpoint.json"),
         default=None, metavar="CHECKPOINT",
         help="checkpoint the crawl to this file and resume from it if it "
-             "exists (default path: crawl.checkpoint.json)",
+             "exists (default path: crawl.checkpoint.json; not with --store)",
     )
     p_run.add_argument(
         "--lenient", action="store_true",
@@ -608,6 +608,14 @@ def _run_store_command(args, log) -> int:
     )
     for line in telemetry.summary_lines():
         log.info("%s", line)
+    _print_run_report(args, report, telemetry, log)
+    return 0
+
+
+def _print_run_report(args, report, telemetry, log) -> None:
+    """What ``repro run`` prints and writes, with or without ``--store``:
+    the digest, resilience and telemetry summaries, the profile, the
+    trace artifacts and the table files."""
     if report.degraded:
         log.warning("measurement DEGRADED: some sections unavailable")
     else:
@@ -621,7 +629,6 @@ def _run_store_command(args, log) -> int:
     if args.out is not None and not report.degraded:
         for path in _write_tables(report, args.out):
             log.info("wrote %s", path)
-    return 0
 
 
 def _run_store_tool(args, log) -> int:
@@ -977,6 +984,11 @@ def _dispatch(args, log) -> int:
 
     _check_world_args(args)
     if getattr(args, "store", None) is not None:
+        if args.resume is not None:
+            raise SystemExit(
+                "--resume cannot be combined with --store: a store-backed "
+                "run commits each epoch atomically and has no crawl checkpoint"
+            )
         return _run_store_command(args, log)
     if getattr(args, "epoch", None) is not None:
         raise SystemExit("--epoch requires --store (see 'repro run --help')")
@@ -1013,7 +1025,6 @@ def _dispatch(args, log) -> int:
         print(f"wrote {n_records} records to {args.out}")
         return 0
 
-    trace_out = getattr(args, "trace_out", None)
     telemetry = _make_run_telemetry(args)
     log.info("running pipeline", extra={"tracing": telemetry.tracing_enabled})
     start = time.perf_counter()
@@ -1032,19 +1043,7 @@ def _dispatch(args, log) -> int:
         log.info("%s", line)
 
     if args.command == "run":
-        if report.degraded:
-            log.warning("measurement DEGRADED: some sections unavailable")
-        else:
-            print(render_digest(report))
-        print(_resilience_summary(report))
-        print("-- telemetry --")
-        print(render_telemetry(report))
-        _print_profile(telemetry)
-        if trace_out is not None:
-            _write_trace_artifacts(args, report, telemetry, log)
-        if args.out is not None and not report.degraded:
-            for path in _write_tables(report, args.out):
-                log.info("wrote %s", path)
+        _print_run_report(args, report, telemetry, log)
         return 0
 
     # tables

@@ -81,7 +81,9 @@ class AbuseFilter:
         self._hashlist = hashlist
         self._reverse_index = reverse_index
         self._domain_info = domain_info if domain_info is not None else (lambda d: (None, None))
-        self._cache = cache
+        #: Digest-keyed hash memo shared with the run's other stages (a
+        #: private one unless the run lends its own).
+        self._cache = cache if cache is not None else VisionCache()
 
     # ------------------------------------------------------------------
     def sweep(
@@ -181,14 +183,11 @@ class AbuseFilter:
         digests: List[str],
     ) -> List[int]:
         """Perceptual hashes for each digest, batched and cache-aware."""
-        if self._cache is not None:
-            keyed = [
-                (digest, (lambda c=representatives[digest]: c.image.pixels))
-                for digest in digests
-            ]
-            return self._cache.hashes_for(keyed, hash_batch)
-        rasters = [representatives[digest].image.pixels for digest in digests]
-        return [int(h) for h in hash_batch(rasters)]
+        keyed = [
+            (digest, (lambda c=representatives[digest]: c.image.pixels))
+            for digest in digests
+        ]
+        return self._cache.hashes_for(keyed, hash_batch)
 
     def _report(
         self,

@@ -34,6 +34,7 @@ from ..forum.dataset import ForumDataset
 from ..forum.models import Post, Thread
 from ..forum.query import ewhoring_threads
 from ..synth.earnings_gen import ProofPlan
+from ..vision.cache import VisionCache
 from ..vision.photodna import HashListService, robust_hash
 from ..web.crawler import CrawledImage, Crawler, LinkRecord
 from ..web.internet import SimulatedInternet
@@ -168,7 +169,7 @@ class EarningsAnalyzer:
         nsfv: Optional[NsfvClassifier] = None,
         rates: Optional[HistoricalRates] = None,
         quarantine: Optional[Quarantine] = None,
-        cache=None,
+        cache: Optional[VisionCache] = None,
         ingest_memo=None,
         checkpoint=None,
     ):
@@ -179,12 +180,13 @@ class EarningsAnalyzer:
         self._nsfv = nsfv if nsfv is not None else NsfvClassifier()
         self._rates = rates if rates is not None else HistoricalRates()
         self._quarantine = quarantine
-        #: Optional :class:`~repro.vision.cache.VisionCache`: hash and
-        #: NSFV scores are then memoised by digest, so a warm run (the
-        #: persistent-store delta path) never renders proof rasters.
-        self._cache = cache
-        #: Optional :class:`~repro.web.crawler.IngestMemo` + crawl
-        #: checkpoint for the §5.1 crawl, see ``repro.store``.
+        #: :class:`~repro.vision.cache.VisionCache` memoising hash and
+        #: NSFV scores by digest (a private one unless the run lends
+        #: its own), so a warm run never renders proof rasters.
+        self._cache = cache if cache is not None else VisionCache()
+        #: :class:`~repro.web.crawler.IngestMemo` (the crawler keeps a
+        #: private one when ``None``) + crawl checkpoint for the §5.1
+        #: crawl, see ``repro.store``.
         self._ingest_memo = ingest_memo
         self._checkpoint = checkpoint
 
@@ -262,9 +264,7 @@ class EarningsAnalyzer:
 
     # ------------------------------------------------------------------
     def _hash_of(self, crawled: CrawledImage) -> int:
-        """Perceptual hash, memoised by digest when a cache is attached."""
-        if self._cache is None:
-            return robust_hash(crawled.image.pixels)
+        """Perceptual hash, memoised by digest."""
         return int(
             self._cache.hash_for(
                 crawled.digest, lambda: robust_hash(crawled.image.pixels)
@@ -272,15 +272,13 @@ class EarningsAnalyzer:
         )
 
     def _classify(self, crawled: CrawledImage):
-        """NSFV verdict, memoised by digest when a cache is attached.
+        """NSFV verdict, memoised by digest.
 
-        The cached path goes through :meth:`NsfvClassifier.classify_batch`
-        (verdict-identical to :meth:`~NsfvClassifier.classify` by that
-        method's contract) with a lazy raster, so a warm digest never
-        renders pixels.
+        Goes through :meth:`NsfvClassifier.classify_batch` (verdict-
+        identical to :meth:`~NsfvClassifier.classify` by that method's
+        contract) with a lazy raster, so a warm digest never renders
+        pixels.
         """
-        if self._cache is None:
-            return self._nsfv.classify(crawled.image.pixels)
         return self._nsfv.classify_batch(
             [lambda: crawled.image.pixels],
             digests=[crawled.digest],

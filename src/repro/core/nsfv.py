@@ -100,11 +100,11 @@ class NsfvClassifier:
         self,
         rasters: Sequence[object],
         *,
-        digests: Optional[Sequence[str]] = None,
+        digests: Sequence[str],
         cache: Optional[VisionCache] = None,
         tracer=None,
     ) -> List[NsfvVerdict]:
-        """Classify many rasters, optionally memoised through a cache.
+        """Classify many rasters, memoised by content digest.
 
         ``rasters`` items may be arrays **or zero-argument callables**
         returning an array: callables defer pixel materialisation to the
@@ -112,11 +112,12 @@ class NsfvClassifier:
         (an incremental re-run against a persistent store) never renders
         a single raster.
 
-        When ``digests`` (one content digest per raster, aligned) and a
-        :class:`~repro.vision.cache.VisionCache` are both supplied, NSFW
+        ``digests`` holds one content digest per raster, aligned.  NSFW
         scores and OCR word counts are looked up / stored under each
-        digest, so repeated digests — within this batch or across
-        pipeline stages — are scored once.  Verdicts are identical to
+        digest in ``cache`` (a private
+        :class:`~repro.vision.cache.VisionCache` when omitted), so
+        repeated digests — within this batch or across pipeline stages
+        sharing the cache — are scored once.  Verdicts are identical to
         mapping :meth:`classify` over the same rasters: OCR still runs
         only inside the ambiguous band, and a cached OCR count never
         changes a clear-cut verdict.
@@ -126,28 +127,15 @@ class NsfvClassifier:
         ambiguous band demanded (DESIGN.md §9).
         """
         tracer = tracer if tracer is not None else NULL_TRACER
+        cache = cache if cache is not None else VisionCache()
         items = rasters if isinstance(rasters, list) else list(rasters)
-        if digests is not None and len(digests) != len(items):
+        if len(digests) != len(items):
             raise ValueError("digests must align one-to-one with rasters")
 
         def pixels_of(item):
             return item() if callable(item) else item
 
         with tracer.span("vision.nsfv_batch", n_images=len(items)) as span:
-            if digests is None or cache is None:
-                verdicts_plain: List[NsfvVerdict] = []
-                n_ocr = 0
-                for item in items:
-                    verdict = self.classify(pixels_of(item))
-                    if (
-                        self.sfv_threshold <= verdict.nsfw_score
-                        and verdict.nsfw_score <= self.nsfv_threshold
-                    ):
-                        n_ocr += 1
-                    verdicts_plain.append(verdict)
-                span.set(n_ocr=n_ocr)
-                return verdicts_plain
-
             verdicts: List[Optional[NsfvVerdict]] = [None] * len(items)
             seen: Dict[str, NsfvVerdict] = {}
             n_ocr = 0

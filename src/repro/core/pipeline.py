@@ -38,8 +38,9 @@ from ..obs import RunTelemetry
 from ..forum.models import Thread
 from ..forum.query import ForumSummary, ewhoring_threads, forum_summaries
 from ..ml.split import train_test_split
+from ..store.incremental import PersistSession
 from ..synth.earnings_gen import ProofPlan
-from ..vision.cache import VisionCache, VisionCacheStats
+from ..vision.cache import VisionCacheStats
 from ..vision.photodna import HashListService
 from ..vision.reverse_search import ReverseImageIndex
 from ..web.archive import WaybackArchive
@@ -182,7 +183,6 @@ class EwhoringPipeline:
         nsfv: Optional[NsfvClassifier] = None,
         retry_policy: Optional[RetryPolicy] = None,
         seed: int = 0,
-        vision_cache: Optional[VisionCache] = None,
         selection_fn: Optional[Callable[[ForumDataset], List[Thread]]] = None,
         link_extractor: Optional[
             Callable[[ForumDataset, Sequence[Thread]], LinkExtraction]
@@ -201,8 +201,6 @@ class EwhoringPipeline:
         )
         self.nsfv = nsfv if nsfv is not None else NsfvClassifier()
         self.seed = seed
-        #: Shared per-run memo of hash / NSFW / OCR work (see DESIGN.md §7).
-        self.vision_cache = vision_cache if vision_cache is not None else VisionCache()
         # Adversarial-drift injection points (defaults reproduce the
         # paper's static methodology bit-for-bit; repro.drift overrides
         # them to model adaptive defenses):
@@ -233,7 +231,7 @@ class EwhoringPipeline:
         checkpoint: Optional[Union[str, Path, CrawlCheckpoint]] = None,
         stage_hooks: Optional[Mapping[str, Callable[[], None]]] = None,
         telemetry: Optional[RunTelemetry] = None,
-        persist: Optional[object] = None,
+        persist: Optional[PersistSession] = None,
     ) -> PipelineReport:
         """Execute the full measurement and return the report.
 
@@ -250,33 +248,35 @@ class EwhoringPipeline:
         zero-cost-off.  The same object rides out on
         :attr:`PipelineReport.telemetry`.
 
-        ``persist`` is a warm-memo bundle (duck-typed as
-        :class:`~repro.store.incremental.PersistSession`) carrying the
-        digest-keyed validation memo and per-stage crawl ingest memos a
-        persistent store loaded from earlier epochs.  Memos only skip
-        recomputation of pure per-record functions (render / validate /
-        digest), so every measured quantity — and the measurement view —
-        is bit-identical with or without them; a warm run merely does
-        less work (see DESIGN.md §12).
+        Every run memoises its pure per-record work (render / validate /
+        digest / hash / score) by content digest in one memo bundle, a
+        :class:`~repro.store.incremental.PersistSession`: the shared
+        :class:`~repro.vision.cache.VisionCache`, the validation memo and
+        the per-stage crawl ingest memos.  ``persist`` is that bundle
+        when a persistent store loaded it from earlier epochs; omitted,
+        the run starts from an empty one.  Memos only skip recomputation,
+        so every measured quantity — and the measurement view — is
+        bit-identical either way; a warm run merely does less work (see
+        DESIGN.md §7 and §12).
         """
+        memos = PersistSession() if persist is None else persist
         tele = telemetry if telemetry is not None else RunTelemetry()
         runner = StageRunner(strict=strict, hooks=stage_hooks, telemetry=tele)
         #: One ledger per run: every stage's record-level boundary admits
-        #: poison records here, and the report carries it out.  With a
-        #: persist session its validation memo replays known-poison
-        #: digests without re-rendering their rasters.
+        #: poison records here, and the report carries it out.  Its
+        #: validation memo replays known-poison digests without
+        #: re-rendering their rasters.
         quarantine = Quarantine(
-            tracer=tele.tracer,
-            validation_memo=persist.validation_memo if persist is not None else None,
+            tracer=tele.tracer, validation_memo=memos.validation_memo
         )
         #: The run's shared cache narrates its batched kernels to the
-        #: run's tracer (re-pointed each run; the cache may outlive it).
-        self.vision_cache.set_tracer(tele.tracer)
+        #: run's tracer (re-pointed each run; a store's cache outlives it).
+        memos.cache.set_tracer(tele.tracer)
         with tele.tracer.span("pipeline.run", seed=self.seed, strict=strict):
             report = self._run_stages(
                 runner, tele, quarantine,
                 top_oracle, proof_oracle, annotate_n, train_fraction,
-                min_ce_posts, key_actor_top_n, checkpoint, persist,
+                min_ce_posts, key_actor_top_n, checkpoint, memos,
             )
         return report
 
@@ -293,7 +293,7 @@ class EwhoringPipeline:
         min_ce_posts: int,
         key_actor_top_n: int,
         checkpoint: Optional[Union[str, Path, CrawlCheckpoint]],
-        persist: Optional[object] = None,
+        memos: PersistSession,
     ) -> PipelineReport:
         """The stage chain, executed inside the ``pipeline.run`` span."""
         fetch_calls_start = self.internet.n_fetch_calls
@@ -333,9 +333,7 @@ class EwhoringPipeline:
             crawler = Crawler(
                 self.internet,
                 retry_policy=self.retry_policy,
-                ingest_memo=(
-                    persist.ingest_memo("url_crawl") if persist is not None else None
-                ),
+                ingest_memo=memos.ingest_memo("url_crawl"),
             )
             result = crawler.crawl(
                 links.all_links,
@@ -360,7 +358,7 @@ class EwhoringPipeline:
                 self.hashlist,
                 reverse_index=self.reverse_index,
                 domain_info=self._domain_info,
-                cache=self.vision_cache,
+                cache=memos.cache,
             )
             abuse = abuse_filter.sweep(
                 crawl.all_images,
@@ -397,7 +395,7 @@ class EwhoringPipeline:
             verdicts = self.nsfv.classify_batch(
                 [lambda c=c: c.image.pixels for c in previews],
                 digests=[c.digest for c in previews],
-                cache=self.vision_cache,
+                cache=memos.cache,
                 tracer=tele.tracer,
             )
             preview_verdicts = list(zip(previews, verdicts))
@@ -420,7 +418,7 @@ class EwhoringPipeline:
                 archive=self.archive,
                 classifiers=self.classifiers,
                 category_lookup=self.category_lookup,
-                cache=self.vision_cache,
+                cache=memos.cache,
             ).analyze(
                 clean_pack_images,
                 nsfv_previews,
@@ -448,10 +446,8 @@ class EwhoringPipeline:
                 annotator=proof_oracle,
                 nsfv=self.nsfv,
                 quarantine=quarantine,
-                cache=self.vision_cache if persist is not None else None,
-                ingest_memo=(
-                    persist.ingest_memo("earnings") if persist is not None else None
-                ),
+                cache=memos.cache,
+                ingest_memo=memos.ingest_memo("earnings"),
             ).analyze(selection)
             ce_table = currency_exchange_table(
                 self.dataset, min_ewhoring_posts=min_ce_posts, selection=selection
@@ -517,7 +513,7 @@ class EwhoringPipeline:
             interests=interests,
             stage_outcomes=list(runner.outcomes),
             stage_failures=list(runner.failures),
-            vision_cache_stats=self.vision_cache.stats(),
+            vision_cache_stats=memos.cache.stats(),
             quarantine=quarantine,
             telemetry=tele,
         )

@@ -133,7 +133,9 @@ class ProvenanceAnalyzer:
         self._category_lookup = category_lookup if category_lookup is not None else (lambda d: None)
         self._scorer = scorer if scorer is not None else NsfwScorer()
         self._sampling = sampling
-        self._cache = cache
+        #: Digest-keyed hash / NSFW-score memo shared with the run's
+        #: other stages (a private one unless the run lends its own).
+        self._cache = cache if cache is not None else VisionCache()
 
     # ------------------------------------------------------------------
     def analyze(
@@ -229,10 +231,9 @@ class ProvenanceAnalyzer:
 
     def _nsfw_score(self, crawled: CrawledImage) -> float:
         """NSFW score for sampling, memoised through the shared cache."""
-        compute = lambda: self._scorer.score(crawled.image.pixels)
-        if self._cache is None:
-            return float(compute())
-        return float(self._cache.nsfw_for(crawled.digest, compute))
+        return float(self._cache.nsfw_for(
+            crawled.digest, lambda: self._scorer.score(crawled.image.pixels)
+        ))
 
     def _query_all(
         self,
@@ -253,14 +254,11 @@ class ProvenanceAnalyzer:
         return outcomes
 
     def _query(self, crawled: CrawledImage) -> QueryOutcome:
-        if self._cache is None:
-            report = self._index.search_pixels(crawled.image.pixels)
-        else:
-            query_hash = self._cache.hash_for(
-                crawled.digest,
-                lambda: robust_hash(crawled.image.pixels),
-            )
-            report = self._index.search_hash(int(query_hash))
+        query_hash = self._cache.hash_for(
+            crawled.digest,
+            lambda: robust_hash(crawled.image.pixels),
+        )
+        report = self._index.search_hash(int(query_hash))
         posted_at = crawled.link.posted_at
         seen_before = False
         if posted_at is not None:

@@ -48,7 +48,7 @@ from typing import (
     TypeVar,
 )
 
-from ..media.validate import validate_raster
+from ..media.validate import ValidationMemo
 from ..obs.trace import NULL_TRACER
 
 __all__ = ["Quarantine", "QuarantineRecord"]
@@ -97,12 +97,16 @@ class Quarantine:
     def __init__(self, tracer=None, validation_memo=None) -> None:
         self.records: List[QuarantineRecord] = []
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Optional :class:`~repro.media.validate.ValidationMemo` shared
-        #: across every stage boundary that filters rasters through this
-        #: ledger.  All such boundaries validate with ``context ==
-        #: digest`` (a pure per-raster computation), so memoised replay
-        #: admits byte-identical records without re-rendering pixels.
-        self.validation_memo = validation_memo
+        #: :class:`~repro.media.validate.ValidationMemo` shared across
+        #: every stage boundary that filters rasters through this ledger
+        #: (a private one unless the run lends its own).  All such
+        #: boundaries validate with ``context == ref``, the record's
+        #: content digest (a pure per-raster computation), so memoised
+        #: replay admits byte-identical records without re-rendering
+        #: pixels.
+        self.validation_memo = (
+            validation_memo if validation_memo is not None else ValidationMemo()
+        )
 
     # ------------------------------------------------------------------
     # Admission
@@ -160,15 +164,14 @@ class Quarantine:
         :func:`~repro.media.validate.validate_raster`; items whose
         payload access *or* validation fails are admitted to the ledger
         and dropped, the rest are returned in their original order.
+        Outcomes are memoised by ``ref``, so a ref must name one raster
+        content (the pipeline uses content digests): a repeated ref is
+        answered without materialising its raster again.
         """
-        memo = self.validation_memo
         survivors: List[T] = []
         for item in items:
             try:
-                if memo is not None:
-                    memo.validate(ref(item), lambda it=item: raster(it))
-                else:
-                    validate_raster(raster(item), context=ref(item))
+                self.validation_memo.validate(ref(item), lambda it=item: raster(it))
             except Exception as exc:
                 self.admit(
                     stage, ref(item), exc, context(item) if context else None

@@ -35,9 +35,8 @@ from __future__ import annotations
 import functools
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 __all__ = [
     "NULL_TRACER",
@@ -179,32 +178,6 @@ class Tracer:
         stack.append(span)
         return _SpanContext(self, span)
 
-    @contextmanager
-    def adopt(self, span: Optional[Span]) -> Iterator[None]:
-        """Parent this thread's subsequent spans under ``span``.
-
-        Worker threads have empty ancestry stacks, so their first span
-        would become a root.  ``adopt`` pushes an *existing* span
-        (typically one opened on the dispatching thread and still open
-        there) onto this thread's stack without opening or closing it:
-        spans and events recorded inside the block nest under it.
-        ``adopt(None)`` is a no-op, so callers can pass
-        ``tracer.current`` captured on the dispatching thread directly.
-        """
-        if span is None:
-            yield
-            return
-        stack = self._stack()
-        stack.append(span)
-        try:
-            yield
-        finally:
-            # Pop up to and including the adopted span (tolerant of
-            # mis-nesting, mirroring _close).
-            while stack:
-                if stack.pop() is span:
-                    break
-
     def _close(self, span: Span) -> None:
         span.t_end = self._now()
         stack = self._stack()
@@ -326,9 +299,6 @@ class NullTracer:
     enabled = False
 
     def span(self, name: str, **attributes: Any) -> _NullSpan:
-        return _NULL_SPAN
-
-    def adopt(self, span: Any) -> _NullSpan:
         return _NULL_SPAN
 
     def event(self, name: str, **attributes: Any) -> None:

@@ -47,10 +47,12 @@ _INGEST_STAGES = ("url_crawl", "earnings")
 
 @dataclass
 class PersistSession:
-    """The warm-memo bundle a store lends to one pipeline run.
+    """The memo bundle of one pipeline run.
 
-    Ducked into :meth:`EwhoringPipeline.run` as ``persist``; every memo
-    is consulted-and-filled during the run and written back afterwards.
+    :meth:`EwhoringPipeline.run` always runs against one — an empty
+    bundle unless a store lends its warm one as ``persist``; every memo
+    is consulted-and-filled during the run.  The store only loads the
+    bundle (:meth:`load`) and writes it back afterwards (:meth:`save`).
     """
 
     cache: VisionCache = field(default_factory=VisionCache)
@@ -222,7 +224,6 @@ def run_incremental(
                 annotate_n=annotate_n,
                 strict=strict,
                 telemetry=tele,
-                vision_cache=session.cache,
                 persist=session,
             )
 

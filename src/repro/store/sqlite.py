@@ -9,9 +9,8 @@ One :class:`RunStore` file persists the full funnel across runs:
 * the warm-path memos that make delta runs cheap: the digest-keyed
   :class:`~repro.vision.cache.VisionCache`, the per-payload crawl
   :class:`~repro.web.crawler.IngestMemo`, the
-  :class:`~repro.media.validate.ValidationMemo`, the world perceptual-
-  hash memo, and per-stage :class:`~repro.web.checkpoint.CrawlCheckpoint`
-  snapshots;
+  :class:`~repro.media.validate.ValidationMemo` and the world
+  perceptual-hash memo;
 * run history — one row per pipeline run with its digest, funnel and
   quarantine ledger, plus persisted longitudinal aggregates as JSON
   blobs.
@@ -360,11 +359,6 @@ class RunStore:
             self._conn.commit()
         except sqlite3.Error as exc:
             raise StoreCorruptionError(f"{self.path}: {exc}") from exc
-
-    @property
-    def in_transaction(self) -> bool:
-        """True inside an open :meth:`transaction` block."""
-        return self._txn_depth > 0
 
     @contextmanager
     def transaction(self) -> Iterator["RunStore"]:
@@ -772,42 +766,8 @@ class RunStore:
             ) from exc
 
     # ------------------------------------------------------------------
-    # Checkpoints and aggregate blobs
+    # Aggregate blobs
     # ------------------------------------------------------------------
-    def save_checkpoint(self, stage: str, checkpoint) -> None:
-        payload = {
-            "completed": checkpoint.completed,
-            "stats": checkpoint.stats,
-            "breakers": checkpoint.breakers,
-            "clock": checkpoint.clock,
-            "budget_spent": checkpoint.budget_spent,
-            "domain_clocks": checkpoint.domain_clocks,
-        }
-        self.save_blob("checkpoint", stage, payload)
-
-    def load_checkpoint(self, stage: str):
-        from ..web.checkpoint import CrawlCheckpoint
-
-        payload = self.load_blob("checkpoint", stage)
-        if payload is None:
-            return CrawlCheckpoint()
-        try:
-            return CrawlCheckpoint(
-                completed=dict(payload["completed"]),
-                stats=payload.get("stats"),
-                breakers=payload.get("breakers"),
-                clock=float(payload.get("clock", 0.0)),
-                budget_spent=int(payload.get("budget_spent", 0)),
-                domain_clocks={
-                    str(d): float(t)
-                    for d, t in payload.get("domain_clocks", {}).items()
-                },
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StoreCorruptionError(
-                f"{self.path}: checkpoint blob for {stage!r} is malformed: {exc}"
-            ) from exc
-
     def save_blob(self, kind: str, key: str, payload: Any) -> None:
         try:
             encoded = json.dumps(payload, sort_keys=True)

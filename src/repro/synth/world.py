@@ -177,12 +177,12 @@ def build_world(
     Accepts either a prebuilt :class:`WorldConfig` or keyword overrides:
     ``build_world(seed=3, scale=0.02)``.
 
-    ``world_hashes`` is an optional ``image_id -> perceptual hash`` memo
-    (plain ints) consulted and filled while building the web
-    intelligence: hashing circulating images dominates build time, and
-    the hash of an image is a pure function of the world seed, so a
-    persistent store can carry it across runs.  The memo changes no rng
-    draw and no value — bit-identity is unaffected.
+    ``world_hashes`` is the ``image_id -> perceptual hash`` memo (plain
+    ints) consulted and filled while building the web intelligence; a
+    build given none fills a private one.  Hashing circulating images
+    dominates build time, and the hash of an image is a pure function of
+    the world seed, so a persistent store can carry it across runs.  The
+    memo changes no rng draw and no value — bit-identity is unaffected.
     """
     if config is None:
         config = WorldConfig(**overrides)
@@ -238,7 +238,7 @@ def build_world(
     # ----------------------------------------------------- web intelligence
     _build_web_intelligence(
         tree, supply, forums, reverse_index, archive, hashlist,
-        world_hashes=world_hashes,
+        world_hashes=world_hashes if world_hashes is not None else {},
     )
 
     world = World(
@@ -384,7 +384,7 @@ def _build_web_intelligence(
     reverse_index: ReverseImageIndex,
     archive: WaybackArchive,
     hashlist: HashListService,
-    world_hashes: Optional[Dict[int, int]] = None,
+    world_hashes: Dict[int, int],
 ) -> None:
     rng = tree.rng("webintel")
     in_use = _circulating_in_use(supply, forums)
@@ -406,15 +406,14 @@ def _build_web_intelligence(
 
     for circulating in in_use:
         image_id = circulating.image.image_id
-        memoised = None if world_hashes is None else world_hashes.get(image_id)
+        memoised = world_hashes.get(image_id)
         if memoised is None:
             # Rendering + hashing here dominates world-build time; the
-            # hash is a pure function of the world seed, so persistent
-            # runs memoise it by image id (no rng draw is involved, so
-            # the memo cannot perturb any stream below).
+            # hash is a pure function of the world seed, so it is
+            # memoised by image id (no rng draw is involved, so the memo
+            # cannot perturb any stream below).
             base_hash = robust_hash(circulating.image.pixels)
-            if world_hashes is not None:
-                world_hashes[image_id] = int(base_hash)
+            world_hashes[image_id] = int(base_hash)
         else:
             base_hash = int(memoised)
         circulating.image.drop_pixels()

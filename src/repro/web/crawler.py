@@ -44,9 +44,7 @@ from typing import (
     TYPE_CHECKING,
     Dict,
     Iterable,
-    Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -77,9 +75,7 @@ __all__ = [
     "IngestMemo",
     "LinkAttempt",
     "LinkAttemptLog",
-    "LinkOutcome",
     "LinkRecord",
-    "ShardState",
     "content_digest",
 ]
 
@@ -322,41 +318,17 @@ class CrawlStats:
 
 
 @dataclass
-class ShardState:
-    """Mutable state of one crawl.
+class _Harvest:
+    """One crawl's accumulator: every link appends its records here,
+    through the ingest boundary's ledger, stage name and memo."""
 
-    Everything a link's resolution can read or write lives here: the
-    outcome counters, the per-domain circuit breakers, the per-domain
-    virtual clocks, and the running retry-budget spend.
-    """
-
-    stats: CrawlStats = field(default_factory=CrawlStats)
-    breakers: BreakerBoard = field(default_factory=BreakerBoard)
-    #: Per-domain virtual clocks, seconds (created at ``base_clock``).
-    clocks: Dict[str, float] = field(default_factory=dict)
-    budget_spent: int = 0
-    #: Starting clock for domains without an entry in :attr:`clocks`
-    #: (non-zero only when resuming a legacy global-clock checkpoint).
-    base_clock: float = 0.0
-
-    def clock_for(self, domain: str) -> float:
-        return self.clocks.get(domain, self.base_clock)
-
-
-@dataclass
-class LinkOutcome:
-    """Everything one resolved link occurrence contributed to a crawl."""
-
+    quarantine: "Quarantine"
+    stage: str
+    memo: IngestMemo
     preview_images: List[CrawledImage] = field(default_factory=list)
     pack_images: List[CrawledImage] = field(default_factory=list)
-    #: Packs first claimed at this link (deduplicated across the crawl).
-    packs: List[Pack] = field(default_factory=list)
-    log: Optional[LinkAttemptLog] = None
-    #: Checkpoint key for this occurrence ("" when not checkpointing).
-    key: str = ""
-    #: Newly settled checkpoint entry (``None`` for replays or when not
-    #: checkpointing) — the caller owns writing it into the checkpoint.
-    entry: Optional[dict] = None
+    #: Packs by id in first-claimed order (deduplicated across the crawl).
+    packs: Dict[int, Pack] = field(default_factory=dict)
 
 
 @dataclass
@@ -473,8 +445,9 @@ class Crawler:
         self._breaker_cooldown = breaker_cooldown
         self._jitter_seed = jitter_seed
         self._validate_payloads = validate_payloads
-        #: Optional persistent memo of per-payload ingest outcomes; a
-        #: hit skips the render/validate/digest work (see IngestMemo).
+        #: Memo of per-payload ingest outcomes shared across crawls (a
+        #: run's or a store's); a hit skips the render/validate/digest
+        #: work (see IngestMemo).
         self._ingest_memo = ingest_memo
 
     # ------------------------------------------------------------------
@@ -499,7 +472,8 @@ class Crawler:
         re-materialized deterministically.  The result of a resumed crawl
         is byte-identical (see :meth:`CrawlResult.digest`) to an
         uninterrupted one — including the quarantine ledger, because
-        payload corruption is a pure function of the URL.
+        payload corruption is a pure function of the URL.  Occurrence
+        indices, which key the checkpoint entries, are counted per URL.
 
         ``quarantine`` is the ledger poison records are excised into
         (admitted under ``stage``); when ``None`` a private ledger is
@@ -521,40 +495,93 @@ class Crawler:
             quarantine = Quarantine()
         quarantine_start = len(quarantine.records)
 
-        if checkpoint is None:
-            ckpt: Optional[CrawlCheckpoint] = None
-        elif isinstance(checkpoint, CrawlCheckpoint):
-            ckpt = checkpoint
+        if checkpoint is None or isinstance(checkpoint, CrawlCheckpoint):
+            ckpt: Optional[CrawlCheckpoint] = checkpoint
         else:
             ckpt = CrawlCheckpoint.load(checkpoint)
 
-        state = self.restore_state(ckpt)
-        completed = ckpt.completed if ckpt is not None else None
+        # Everything a link's resolution reads or writes: outcome
+        # counters, per-domain breakers, per-domain virtual clocks and
+        # the retry-budget spend — restored from the checkpoint when
+        # resuming.  A domain without a clock entry starts at
+        # ``base_clock``, fixed at resume (non-zero only for a legacy
+        # global-clock checkpoint).
+        stats = CrawlStats()
+        breakers = BreakerBoard(
+            failure_threshold=self._breaker_threshold,
+            cooldown=self._breaker_cooldown,
+        )
+        clocks: Dict[str, float] = {}
+        base_clock = 0.0
+        budget_spent = 0
+        if ckpt is not None:
+            if ckpt.stats is not None:
+                stats = CrawlStats.from_dict(ckpt.stats)
+            if ckpt.breakers is not None:
+                breakers = BreakerBoard.restore(ckpt.breakers)
+            clocks = dict(ckpt.domain_clocks)
+            base_clock = ckpt.base_clock()
+            budget_spent = ckpt.budget_spent
 
-        preview_images: List[CrawledImage] = []
-        pack_images: List[CrawledImage] = []
-        packs: List[Pack] = []
+        def save_progress() -> None:
+            # The stats/breaker serialization happens only at save
+            # points, not on every link.
+            ckpt.stats = stats.to_dict()
+            ckpt.breakers = breakers.snapshot()
+            ckpt.domain_clocks = dict(clocks)
+            ckpt.clock = max(clocks.values(), default=base_clock)
+            ckpt.budget_spent = budget_spent
+            ckpt.save()
+
+        # Ingest outcomes are keyed by URL, so they hold only while the
+        # internet's payloads stay fixed: a crawler given no memo keeps
+        # a private one per crawl.  An unvalidated crawl (the overhead
+        # baseline of benchmarks/bench_r3_quarantine.py) does too, since
+        # a shared memo must only ever replay validated outcomes.
+        memo = (
+            self._ingest_memo
+            if self._ingest_memo is not None and self._validate_payloads
+            else IngestMemo()
+        )
+        harvest = _Harvest(quarantine=quarantine, stage=stage, memo=memo)
         attempt_logs: List[LinkAttemptLog] = []
+        occurrences: Dict[str, int] = {}
         since_save = 0
-
         try:
-            for outcome in self.resolve_links(
-                links, state, completed=completed,
-                quarantine=quarantine, stage=stage, tracer=tracer,
-            ):
-                preview_images.extend(outcome.preview_images)
-                pack_images.extend(outcome.pack_images)
-                packs.extend(outcome.packs)
-                if outcome.log is not None:
-                    attempt_logs.append(outcome.log)
-                if ckpt is not None and outcome.entry is not None:
-                    ckpt.completed[outcome.key] = outcome.entry
+            for link in links:
+                url_str = str(link.url)
+                host = link.url.host
+                occurrence = occurrences.get(url_str, 0)
+                occurrences[url_str] = occurrence + 1
+                key = link_key(url_str, occurrence) if ckpt is not None else ""
+                entry = ckpt.outcome(key) if ckpt is not None else None
+                if entry is not None:
+                    tracer.event("crawl.replay", domain=host, status=entry["status"])
+                    log = self._replay(link, entry, harvest)
+                else:
+                    with tracer.span(
+                        "crawl.fetch", domain=host, kind=link.link_kind
+                    ) as span:
+                        (status, attempt, log, resource,
+                         clock, budget_spent) = self._fetch_with_retry(
+                            link, stats, breakers, clocks.get(host, base_clock),
+                            budget_spent, tracer,
+                        )
+                        clocks[host] = clock
+                        stats.record(host, status)
+                        span.set(status=status.value, attempts=attempt + 1)
+                        if status is FetchStatus.OK:
+                            self._collect(link, resource, harvest)
+                if log is not None:
+                    attempt_logs.append(log)
+                if ckpt is not None and entry is None:
+                    ckpt.mark(
+                        key, status.value, attempt,
+                        log.to_dict() if log is not None else None,
+                    )
                     since_save += 1
-                    # Satellite: the expensive stats/breaker serialization
-                    # happens only at save points, not on every link.
                     if since_save >= max(1, checkpoint_every):
-                        self.sync_checkpoint(ckpt, state)
-                        ckpt.save()
+                        save_progress()
                         since_save = 0
                         kill_point("crawl.checkpoint.saved")
         except BaseException:
@@ -563,131 +590,21 @@ class Crawler:
             # snapshot: every settled link is synced and atomically
             # saved before the exception unwinds (DESIGN.md §13).
             if ckpt is not None:
-                self.sync_checkpoint(ckpt, state)
-                ckpt.save()
+                save_progress()
             raise
 
         if ckpt is not None:
-            self.sync_checkpoint(ckpt, state)
-            ckpt.save()
+            save_progress()
 
         return CrawlResult(
-            preview_images=preview_images,
-            pack_images=pack_images,
-            packs=packs,
-            stats=state.stats,
+            preview_images=harvest.preview_images,
+            pack_images=harvest.pack_images,
+            packs=list(harvest.packs.values()),
+            stats=stats,
             attempt_logs=attempt_logs,
             quarantined=list(quarantine.records[quarantine_start:]),
-            breaker_summary=state.breakers.as_dict(),
+            breaker_summary=breakers.as_dict(),
         )
-
-    # ------------------------------------------------------------------
-    def restore_state(self, ckpt: Optional[CrawlCheckpoint]) -> ShardState:
-        """Rebuild mutable crawl state from a checkpoint (or start fresh)."""
-        if ckpt is not None and ckpt.stats is not None:
-            stats = CrawlStats.from_dict(ckpt.stats)
-        else:
-            stats = CrawlStats()
-        if ckpt is not None and ckpt.breakers is not None:
-            breakers = BreakerBoard.restore(ckpt.breakers)
-        else:
-            breakers = BreakerBoard(
-                failure_threshold=self._breaker_threshold,
-                cooldown=self._breaker_cooldown,
-            )
-        if ckpt is None:
-            return ShardState(stats=stats, breakers=breakers)
-        return ShardState(
-            stats=stats,
-            breakers=breakers,
-            clocks=dict(ckpt.domain_clocks),
-            budget_spent=ckpt.budget_spent,
-            base_clock=ckpt.base_clock(),
-        )
-
-    @staticmethod
-    def sync_checkpoint(ckpt: CrawlCheckpoint, state: ShardState) -> None:
-        """Snapshot crawl state into the checkpoint's serialized fields."""
-        ckpt.stats = state.stats.to_dict()
-        ckpt.breakers = state.breakers.snapshot()
-        ckpt.domain_clocks = dict(state.clocks)
-        ckpt.clock = max(state.clocks.values(), default=state.base_clock)
-        ckpt.budget_spent = state.budget_spent
-
-    # ------------------------------------------------------------------
-    def resolve_links(
-        self,
-        links: Iterable[LinkRecord],
-        state: ShardState,
-        *,
-        completed: Optional[Mapping[str, dict]] = None,
-        quarantine: "Quarantine",
-        stage: str = "url_crawl",
-        tracer=None,
-    ) -> Iterator[LinkOutcome]:
-        """Resolve link occurrences in order, yielding one outcome each.
-
-        The resolution engine of :meth:`crawl`: replay-or-fetch, retry
-        policy, breaker discipline, ingest/quarantine boundary, and pack
-        deduplication all happen here, against the caller's
-        :class:`ShardState`.
-
-        ``completed`` is a read-only view of already-settled checkpoint
-        entries; newly settled occurrences come back on
-        :attr:`LinkOutcome.entry` — writing them into a checkpoint (and
-        deciding when to save) is the caller's job.
-
-        Occurrence indices, which key the checkpoint entries, are
-        counted per URL *within this call*.
-        """
-        tracer = tracer if tracer is not None else NULL_TRACER
-        occurrences: Dict[str, int] = {}
-        seen_pack_ids: Dict[int, None] = {}
-
-        for link in links:
-            url_str = str(link.url)
-            host = link.url.host
-            occurrence = occurrences.get(url_str, 0)
-            occurrences[url_str] = occurrence + 1
-            key = link_key(url_str, occurrence) if completed is not None else ""
-
-            outcome = LinkOutcome(key=key)
-            entry = completed.get(key) if completed is not None else None
-            if entry is not None:
-                tracer.event("crawl.replay", domain=host, status=entry["status"])
-                outcome.log = self._replay(
-                    link, entry, outcome.preview_images, outcome.pack_images,
-                    outcome.packs, seen_pack_ids, quarantine, stage,
-                )
-            else:
-                with tracer.span(
-                    "crawl.fetch", domain=host, kind=link.link_kind
-                ) as span:
-                    clock = state.clock_for(host)
-                    (final_status, final_attempt, log, resource,
-                     clock, state.budget_spent) = self._fetch_with_retry(
-                        link, state.stats, state.breakers, clock,
-                        state.budget_spent, tracer,
-                    )
-                    state.clocks[host] = clock
-                    state.stats.record(host, final_status)
-                    span.set(status=final_status.value, attempts=final_attempt + 1)
-                    if final_status is FetchStatus.OK:
-                        self._collect(
-                            link, resource, outcome.preview_images,
-                            outcome.pack_images, outcome.packs,
-                            seen_pack_ids, quarantine, stage,
-                        )
-                outcome.log = log
-                if completed is not None:
-                    new_entry: dict = {
-                        "status": final_status.value,
-                        "attempt": int(final_attempt),
-                    }
-                    if log is not None:
-                        new_entry["log"] = log.to_dict()
-                    outcome.entry = new_entry
-            yield outcome
 
     # ------------------------------------------------------------------
     def _fetch_with_retry(
@@ -798,15 +715,7 @@ class Crawler:
 
     # ------------------------------------------------------------------
     def _replay(
-        self,
-        link: LinkRecord,
-        entry: dict,
-        preview_images: List[CrawledImage],
-        pack_images: List[CrawledImage],
-        packs: List[Pack],
-        seen_pack_ids: Dict[int, None],
-        quarantine: "Quarantine",
-        stage: str,
+        self, link: LinkRecord, entry: dict, harvest: _Harvest
     ) -> Optional[LinkAttemptLog]:
         """Re-materialize a checkpointed link outcome without re-crawling.
 
@@ -829,8 +738,7 @@ class Crawler:
                 f"checkpoint marked {link.url} OK but re-fetch returned "
                 f"{result.status.value}; checkpoint does not match this world"
             )
-        self._collect(link, result.resource, preview_images, pack_images,
-                      packs, seen_pack_ids, quarantine, stage)
+        self._collect(link, result.resource, harvest)
         return log
 
     # ------------------------------------------------------------------
@@ -838,8 +746,7 @@ class Crawler:
         self,
         link: LinkRecord,
         image: SyntheticImage,
-        quarantine: "Quarantine",
-        stage: str,
+        harvest: _Harvest,
         pack_id: Optional[int] = None,
         member_index: Optional[int] = None,
     ) -> Optional[CrawledImage]:
@@ -857,25 +764,21 @@ class Crawler:
             context["pack_id"] = pack_id
         if member_index is not None:
             context["member_index"] = member_index
-        memo = self._ingest_memo if self._validate_payloads else None
-        if memo is not None:
-            key: IngestKey = (url_str, pack_id, member_index)
-            outcome = memo.lookup(key)
-            if outcome is not None:
-                if outcome[0] == "ok":
-                    # Replay: the digest is memoised, so the raster is
-                    # never rendered — pixels stay lazy until (if ever)
-                    # a downstream cache miss demands them.
-                    return CrawledImage(
-                        image=image,
-                        digest=outcome[1],
-                        link=link,
-                        pack_id=pack_id,
-                    )
-                quarantine.admit(
-                    stage, url_str, rebuild_error(outcome[1], outcome[2]), context
+        memo = harvest.memo
+        key: IngestKey = (url_str, pack_id, member_index)
+        outcome = memo.lookup(key)
+        if outcome is not None:
+            if outcome[0] == "ok":
+                # Replay: the digest is memoised, so the raster is
+                # never rendered — pixels stay lazy until (if ever)
+                # a downstream cache miss demands them.
+                return CrawledImage(
+                    image=image, digest=outcome[1], link=link, pack_id=pack_id
                 )
-                return None
+            harvest.quarantine.admit(
+                harvest.stage, url_str, rebuild_error(outcome[1], outcome[2]), context
+            )
+            return None
         try:
             pixels = image.pixels
             if self._validate_payloads:
@@ -886,27 +789,15 @@ class Crawler:
                 link=link,
                 pack_id=pack_id,
             )
-            if memo is not None:
-                memo.record_ok(key, crawled.digest)
-            return crawled
         except Exception as exc:
-            if memo is not None:
-                memo.record_error(key, exc)
-            quarantine.admit(stage, url_str, exc, context)
+            memo.record_error(key, exc)
+            harvest.quarantine.admit(harvest.stage, url_str, exc, context)
             return None
+        memo.record_ok(key, crawled.digest)
+        return crawled
 
-    def _collect(
-        self,
-        link: LinkRecord,
-        resource,
-        preview_images: List[CrawledImage],
-        pack_images: List[CrawledImage],
-        packs: List[Pack],
-        seen_pack_ids: Dict[int, None],
-        quarantine: "Quarantine",
-        stage: str,
-    ) -> None:
-        """Download one OK resource into the result accumulators.
+    def _collect(self, link: LinkRecord, resource, harvest: _Harvest) -> None:
+        """Download one OK resource into the crawl's accumulator.
 
         Every record passes through the :meth:`_ingest` boundary; pack
         archives are collected member-by-member, and a pack whose members
@@ -916,29 +807,28 @@ class Crawler:
         crawl-aborting crash.
         """
         if isinstance(resource, SyntheticImage):
-            crawled = self._ingest(link, resource, quarantine, stage)
+            crawled = self._ingest(link, resource, harvest)
             if crawled is not None:
-                preview_images.append(crawled)
+                harvest.preview_images.append(crawled)
         elif isinstance(resource, Pack):
             members: List[SyntheticImage] = []
             for index, image in enumerate(resource.images):
                 crawled = self._ingest(
-                    link, image, quarantine, stage,
+                    link, image, harvest,
                     pack_id=resource.pack_id, member_index=index,
                 )
                 if crawled is None:
                     continue
                 members.append(image)
-                pack_images.append(crawled)
-            if members and resource.pack_id not in seen_pack_ids:
-                seen_pack_ids[resource.pack_id] = None
+                harvest.pack_images.append(crawled)
+            if members and resource.pack_id not in harvest.packs:
                 if len(members) == len(resource.images):
-                    packs.append(resource)
+                    harvest.packs[resource.pack_id] = resource
                 else:
-                    packs.append(replace(resource, images=members))
+                    harvest.packs[resource.pack_id] = replace(resource, images=members)
         else:
-            quarantine.admit(
-                stage,
+            harvest.quarantine.admit(
+                harvest.stage,
                 str(link.url),
                 UnexpectedResourceError(
                     f"unexpected resource type {type(resource).__name__}"

@@ -64,6 +64,12 @@ class TestParser:
         assert args.lenient is True
 
 
+RESUME_WITH_STORE = (
+    "--resume cannot be combined with --store: a store-backed run commits "
+    "each epoch atomically and has no crawl checkpoint"
+)
+
+
 class TestArgumentChecks:
     """Out-of-range options stop at the CLI boundary with one line."""
 
@@ -96,15 +102,19 @@ class TestArgumentChecks:
              "--epoch must be in [1, 2] (--epoch-total), got 3"),
             (["--epoch", "1", "--epoch-total", "0"],
              "--epoch-total must be >= 1, got 0"),
+            (["--resume"], RESUME_WITH_STORE),
+            (["--resume", "c.json"], RESUME_WITH_STORE),
         ],
-        ids=["epoch-0", "epoch-above-total", "epoch-total-0"],
+        ids=["epoch-0", "epoch-above-total", "epoch-total-0",
+             "resume-default-with-store", "resume-path-with-store"],
     )
-    def test_store_epoch_rejected(self, tmp_path, epoch_args, message):
+    def test_store_epoch_rejected(self, tmp_path, monkeypatch, epoch_args, message):
+        monkeypatch.chdir(tmp_path)
         store = tmp_path / "s.sqlite"
         with pytest.raises(SystemExit) as excinfo:
             main(["run", "--store", str(store), *epoch_args])
         assert excinfo.value.code == message
-        assert not store.exists()
+        assert list(tmp_path.iterdir()) == []  # no store, no checkpoint
 
     def test_one_line_and_nonzero_exit(self):
         proc = subprocess.run(

@@ -87,7 +87,9 @@ class TestVerdicts:
     def test_classify_batch(self, rng):
         clf = NsfvClassifier()
         rasters = [render(rng, ImageKind.PROOF_SCREENSHOT) for _ in range(3)]
-        verdicts = clf.classify_batch(rasters)
+        verdicts = clf.classify_batch(
+            rasters, digests=[f"proof-{i}" for i in range(3)]
+        )
         assert len(verdicts) == 3
         assert all(v.safe_for_viewing for v in verdicts)
 

@@ -19,6 +19,8 @@ profiles (corrupt rasters → quarantine) and drift profiles
 
 import pytest
 
+from repro import build_world, run_pipeline
+from repro.obs import RunTelemetry
 from repro.store import (
     PersistSession,
     RunStore,
@@ -100,6 +102,27 @@ class TestIncrementalEqualsCold:
             if metric["name"] == "vision_cache.hits"
         ]
         assert hits and hits[0] > 0
+
+
+class TestStorelessEqualsFreshStore:
+    """Memos are always on: a storeless run starts from empty memos, a
+    run against a fresh store from an empty loaded bundle — one code
+    path, so the two agree on everything, vision-cache counters too."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"payload_profile": "hostile"}],
+        ids=["clean", "payload-hostile"],
+    )
+    def test_storeless_run_equals_fresh_store_run(self, tmp_path, overrides):
+        cfg = {**WORLD_KW, **overrides}
+        telemetry = RunTelemetry()
+        report = run_pipeline(build_world(**cfg), telemetry=telemetry)
+        stored = run_incremental(tmp_path / "fresh.sqlite", **cfg)
+        assert report.crawl.digest() == stored.crawl_digest
+        assert [r.to_dict() for r in report.quarantine.records] == ledger(stored)
+        assert telemetry.measurement_view() == stored.measurement
+        assert report.vision_cache_stats == stored.report.vision_cache_stats
 
 
 class TestStoreRefusals:

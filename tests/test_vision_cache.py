@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.core.abuse_filter as abuse_filter_module
 from repro.core import AbuseFilter
-from repro.core.nsfv import NsfvClassifier, NsfvVerdict
+from repro.core.nsfv import NsfvClassifier
 from repro.media import ImageKind, SyntheticImage, sample_latent
 from repro.vision import (
     AbuseSeverity,
@@ -214,13 +214,6 @@ class TestClassifyBatchCache:
         clf.classify_batch(rasters[:1], digests=["same"], cache=cache)
         assert scorer.calls == 1 and ocr.calls == 1
 
-    def test_without_cache_falls_back_to_scalar(self):
-        scorer = CountingScorer({1: 0.2})
-        clf = NsfvClassifier(scorer=scorer, ocr=CountingOcr({1: 5}))
-        out = clf.classify_batch([_tagged_raster(1)] * 2)
-        assert scorer.calls == 2
-        assert out == [NsfvVerdict(False, 0.2, 5)] * 2
-
     def test_misaligned_digests_rejected(self):
         clf = NsfvClassifier()
         with pytest.raises(ValueError):
@@ -305,11 +298,21 @@ class TestAbuseFilterDedupe:
         assert after.misses == before.misses
 
     def test_cached_and_uncached_sweeps_agree(self, images):
+        """The batched, cached sweep matches what hashing each image on
+        its own with ``robust_hash`` (the reference) matches."""
         bad, clean = images
-        crawled_a = [_crawled(bad), _crawled(clean), _crawled(bad)]
-        crawled_b = [_crawled(bad), _crawled(clean), _crawled(bad)]
-        plain = AbuseFilter(self._service(bad)).sweep(crawled_a)
-        cached = AbuseFilter(self._service(bad), cache=VisionCache()).sweep(crawled_b)
-        assert plain.n_matched_images == cached.n_matched_images
-        assert plain.matched_digests == cached.matched_digests
-        assert plain.affected_thread_ids == cached.affected_thread_ids
+        service = self._service(bad)
+        crawled = [
+            _crawled(bad, thread_id=1),
+            _crawled(clean, thread_id=2),
+            _crawled(bad, thread_id=3),
+        ]
+        reference = [
+            c for c in crawled
+            if service.match_hash(robust_hash(c.image.pixels)).matched
+        ]
+        result = AbuseFilter(service, cache=VisionCache()).sweep(crawled)
+        assert [c.image for c in reference] == [bad, bad]
+        assert result.matched_digests == {c.digest for c in reference}
+        assert result.n_matched_images == len({c.digest for c in reference})
+        assert result.affected_thread_ids == {c.link.thread_id for c in reference}
