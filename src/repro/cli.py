@@ -382,8 +382,12 @@ def _write_tables(report, out_dir: Path) -> list:
     return written
 
 
-def _resilience_summary(report) -> str:
-    """Retry/breaker/degradation summary lines for the ``run`` command."""
+def _resilience_summary(report, ledger_in_digest: bool) -> str:
+    """Retry/breaker/degradation summary lines for the ``run`` command.
+
+    ``ledger_in_digest`` says the printed digest already carries the
+    quarantine ledger, which is then not repeated here.
+    """
     lines = ["-- crawl resilience --"]
     if report.crawl is not None:
         stats = report.crawl.stats
@@ -417,15 +421,12 @@ def _resilience_summary(report) -> str:
             else:
                 lines.append(f"ok      {outcome.stage} [{outcome.elapsed:.2f}s]")
     lines.append("-- quarantine --")
-    if report.quarantine is not None:
-        lines.extend(report.quarantine.summary_lines())
-    else:
+    if report.quarantine is None:
         lines.append("no quarantine ledger recorded")
-    lines.append("-- vision cache --")
-    if report.vision_cache_stats is not None:
-        lines.append(report.vision_cache_stats.summary())
+    elif ledger_in_digest and len(report.quarantine):
+        lines.append("see == quarantine (record-level faults) == above")
     else:
-        lines.append("no vision-cache statistics recorded")
+        lines.extend(report.quarantine.summary_lines())
     return "\n".join(lines)
 
 
@@ -620,7 +621,7 @@ def _print_run_report(args, report, telemetry, log) -> None:
         log.warning("measurement DEGRADED: some sections unavailable")
     else:
         print(render_digest(report))
-    print(_resilience_summary(report))
+    print(_resilience_summary(report, ledger_in_digest=not report.degraded))
     print("-- telemetry --")
     print(render_telemetry(report))
     _print_profile(telemetry)

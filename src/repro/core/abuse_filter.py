@@ -15,7 +15,7 @@ triggers the incident workflow the paper agreed with the IWF:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..forum.dataset import ForumDataset
@@ -30,7 +30,6 @@ from ..vision.photodna import (
 )
 from ..vision.reverse_search import ReverseImageIndex
 from ..web.crawler import CrawledImage
-from .quarantine import Quarantine
 
 __all__ = ["AbuseFilterResult", "AbuseFilter"]
 
@@ -56,16 +55,10 @@ class AbuseFilterResult:
     #: Actors who replied in those threads (exposure lower bound).
     exposed_actor_ids: Set[int]
     report_log: ReportLog
-    #: Digests whose payload failed validation at this stage's boundary
-    #: (defence in depth behind crawler ingest); excluded downstream.
-    quarantined_digests: Set[str] = field(default_factory=set)
 
     def is_clean(self, crawled: CrawledImage) -> bool:
-        """True when an image survived the filter (and was not poison)."""
-        return (
-            crawled.digest not in self.matched_digests
-            and crawled.digest not in self.quarantined_digests
-        )
+        """True when an image survived the filter."""
+        return crawled.digest not in self.matched_digests
 
 
 class AbuseFilter:
@@ -90,7 +83,6 @@ class AbuseFilter:
         self,
         images: Sequence[CrawledImage],
         dataset: Optional[ForumDataset] = None,
-        quarantine: Optional[Quarantine] = None,
     ) -> AbuseFilterResult:
         """Match all images; report and delete the hits.
 
@@ -102,12 +94,8 @@ class AbuseFilter:
         through the shared :class:`VisionCache` when one is attached),
         no matter how many crawled copies carry the same digest.
 
-        When a ``quarantine`` ledger is supplied, every representative
-        raster crosses a validation boundary before hashing: poison that
-        somehow bypassed crawler ingest is admitted to the ledger under
-        ``"abuse_filter"`` and its digest excluded from the sweep (and,
-        via :meth:`AbuseFilterResult.is_clean`, from every later stage)
-        instead of corrupting the batched hash kernel.
+        ``images`` are crawler output, so every raster already passed
+        the ingest validation boundary.
         """
         log = ReportLog()
         matched_digests: Set[str] = set()
@@ -119,17 +107,6 @@ class AbuseFilter:
         for crawled in images:
             representatives.setdefault(crawled.digest, crawled)
         digests = list(representatives)
-        quarantined_digests: Set[str] = set()
-        if quarantine is not None:
-            survivors = quarantine.filter_rasters(
-                "abuse_filter",
-                digests,
-                ref=lambda d: d,
-                raster=lambda d: representatives[d].image.pixels,
-                context=lambda d: {"link_kind": representatives[d].link.link_kind},
-            )
-            quarantined_digests = set(digests) - set(survivors)
-            digests = survivors
         hashes = self._hashes_for(representatives, digests)
         matches = self._hashlist.match_hashes(hashes)
         match_by_digest: Dict[str, MatchResult] = dict(zip(digests, matches))
@@ -138,9 +115,7 @@ class AbuseFilter:
         # Pass 2: apply per-copy semantics in crawl order.
         reported_digests: Set[str] = set()
         for crawled in images:
-            match = match_by_digest.get(crawled.digest)
-            if match is None:  # digest quarantined in pass 1
-                continue
+            match = match_by_digest[crawled.digest]
             if not match.matched:
                 continue
             if crawled.link.thread_id is not None:
@@ -173,7 +148,6 @@ class AbuseFilter:
             affected_thread_ids=affected_threads,
             exposed_actor_ids=exposed,
             report_log=log,
-            quarantined_digests=quarantined_digests,
         )
 
     # ------------------------------------------------------------------

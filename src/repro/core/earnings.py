@@ -21,14 +21,14 @@ after their first eWhoring post.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..finance.money import Currency, Money, PaymentPlatform
-from ..finance.parser import UNCLASSIFIED, parse_exchange_heading
+from ..finance.parser import parse_exchange_heading
 from ..finance.rates import HistoricalRates
 from ..forum.dataset import ForumDataset
 from ..forum.models import Post, Thread

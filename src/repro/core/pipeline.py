@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -249,26 +249,24 @@ class EwhoringPipeline:
         :attr:`PipelineReport.telemetry`.
 
         Every run memoises its pure per-record work (render / validate /
-        digest / hash / score) by content digest in one memo bundle, a
-        :class:`~repro.store.incremental.PersistSession`: the shared
-        :class:`~repro.vision.cache.VisionCache`, the validation memo and
-        the per-stage crawl ingest memos.  ``persist`` is that bundle
-        when a persistent store loaded it from earlier epochs; omitted,
-        the run starts from an empty one.  Memos only skip recomputation,
-        so every measured quantity — and the measurement view — is
-        bit-identical either way; a warm run merely does less work (see
-        DESIGN.md §7 and §12).
+        digest / hash / score) in one memo bundle, a :class:`~repro.store.
+        incremental.PersistSession`: the shared digest-keyed
+        :class:`~repro.vision.cache.VisionCache` and the per-stage crawl
+        ingest memos, which replay each payload's ingest validation
+        outcome.  Ingest is the one place a raster is
+        validated; later stages consume crawler output as-is.
+        ``persist`` is that bundle when a persistent store loaded it from
+        earlier epochs; omitted, the run starts from an empty one.  Memos
+        only skip recomputation, so every measured quantity — and the
+        measurement view — is bit-identical either way; a warm run merely
+        does less work (see DESIGN.md §7 and §12).
         """
         memos = PersistSession() if persist is None else persist
         tele = telemetry if telemetry is not None else RunTelemetry()
         runner = StageRunner(strict=strict, hooks=stage_hooks, telemetry=tele)
         #: One ledger per run: every stage's record-level boundary admits
-        #: poison records here, and the report carries it out.  Its
-        #: validation memo replays known-poison digests without
-        #: re-rendering their rasters.
-        quarantine = Quarantine(
-            tracer=tele.tracer, validation_memo=memos.validation_memo
-        )
+        #: poison records here, and the report carries it out.
+        quarantine = Quarantine(tracer=tele.tracer)
         #: The run's shared cache narrates its batched kernels to the
         #: run's tracer (re-pointed each run; a store's cache outlives it).
         memos.cache.set_tracer(tele.tracer)
@@ -360,11 +358,7 @@ class EwhoringPipeline:
                 domain_info=self._domain_info,
                 cache=memos.cache,
             )
-            abuse = abuse_filter.sweep(
-                crawl.all_images,
-                dataset=self.dataset,
-                quarantine=quarantine,
-            )
+            abuse = abuse_filter.sweep(crawl.all_images, dataset=self.dataset)
             clean_previews = [c for c in crawl.preview_images if abuse.is_clean(c)]
             clean_pack_images = [c for c in crawl.pack_images if abuse.is_clean(c)]
             return abuse, clean_previews, clean_pack_images
@@ -381,24 +375,15 @@ class EwhoringPipeline:
 
         # ---- stage 4: NSFV classification ---------------------------
         def _stage_nsfv():
-            # Record-level boundary: previews whose raster fails
-            # validation are excised into the ledger; the batch kernel
-            # only ever sees clean rasters.
-            previews = quarantine.filter_rasters(
-                "nsfv",
-                clean_previews,
-                ref=lambda c: c.digest,
-                raster=lambda c: c.image.pixels,
-            )
             # Rasters go in as zero-arg callables so a cache-warm digest
             # (an incremental re-run) never renders its pixels at all.
             verdicts = self.nsfv.classify_batch(
-                [lambda c=c: c.image.pixels for c in previews],
-                digests=[c.digest for c in previews],
+                [lambda c=c: c.image.pixels for c in clean_previews],
+                digests=[c.digest for c in clean_previews],
                 cache=memos.cache,
                 tracer=tele.tracer,
             )
-            preview_verdicts = list(zip(previews, verdicts))
+            preview_verdicts = list(zip(clean_previews, verdicts))
             return preview_verdicts, [c for c, v in preview_verdicts if v.nsfv]
 
         nsfv_out, _ = runner.run(
@@ -418,6 +403,7 @@ class EwhoringPipeline:
                 archive=self.archive,
                 classifiers=self.classifiers,
                 category_lookup=self.category_lookup,
+                scorer=self.nsfv.scorer,
                 cache=memos.cache,
             ).analyze(
                 clean_pack_images,

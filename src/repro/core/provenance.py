@@ -15,14 +15,13 @@ Implements §4.5 end to end:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..domains.classifiers import DomainClassifier, DomainVerdict, tag_distribution
-from ..media.pack import Pack
 from ..vision.cache import VisionCache
 from ..vision.nsfw import NsfwScorer
 from ..vision.photodna import robust_hash
@@ -146,27 +145,11 @@ class ProvenanceAnalyzer:
     ) -> ProvenanceResult:
         """Reverse-search sampled pack images and all previews.
 
-        With a ``quarantine`` ledger attached, inputs first cross a
-        raster-validation boundary (poison that survived the upstream
-        stages is excised under ``"provenance"``) and each reverse-search
-        query runs inside a per-record error boundary, so one bad record
-        costs exactly one query, never the stage.
+        With a ``quarantine`` ledger attached, each reverse-search query
+        runs inside a per-record error boundary (admitting under
+        ``"provenance"``), so one bad record costs exactly one query,
+        never the stage.
         """
-        if quarantine is not None:
-            pack_images = quarantine.filter_rasters(
-                "provenance",
-                pack_images,
-                ref=lambda c: c.digest,
-                raster=lambda c: c.image.pixels,
-                context=lambda c: {"group": "packs", "pack_id": c.pack_id},
-            )
-            preview_images = quarantine.filter_rasters(
-                "provenance",
-                preview_images,
-                ref=lambda c: c.digest,
-                raster=lambda c: c.image.pixels,
-                context=lambda c: {"group": "previews"},
-            )
         sampled = self._sample_packs(pack_images)
         pack_outcomes = self._query_all(sampled, quarantine, "packs")
         preview_outcomes = self._query_all(preview_images, quarantine, "previews")

@@ -10,8 +10,9 @@ bad records are excised and accounted for, never allowed to kill or
 corrupt the measurement.
 
 One :class:`Quarantine` ledger is shared across a pipeline run: the
-crawler's ingest boundary, the abuse filter, the NSFV stage and the
-provenance loops all admit into it, and the counts surface in
+crawlers' ingest boundary (the §4.2 crawl and the §5 earnings crawl —
+the one place a raster is validated), the earnings safety loop and the
+provenance query loop all admit into it, and the counts surface in
 :class:`~repro.core.pipeline.PipelineReport`, the CLI summary and
 ``report_text``.
 
@@ -23,11 +24,11 @@ records is bit-identical to a corruption-free run on the same seed.
 
 This module deliberately imports nothing from :mod:`repro.core` or
 :mod:`repro.web` so the crawler can depend on it without an import
-cycle (:mod:`repro.obs` and :mod:`repro.media` are leaf dependencies).
+cycle (:mod:`repro.obs`, a leaf, is its one dependency).
 
 Telemetry: a ledger built with a tracer emits one ``quarantine.admit``
 event per excised record on whichever span is current when the poison
-surfaces (the crawl fetch span, the NSFV stage span, …), and
+surfaces (the crawl fetch span, the provenance stage span, …), and
 :meth:`Quarantine.as_dict` is the snapshot the run manifest embeds.
 """
 
@@ -35,25 +36,11 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    TypeVar,
-)
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Set
 
-from ..media.validate import ValidationMemo
 from ..obs.trace import NULL_TRACER
 
 __all__ = ["Quarantine", "QuarantineRecord"]
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -94,19 +81,9 @@ class Quarantine:
     default is the shared no-op recorder.
     """
 
-    def __init__(self, tracer=None, validation_memo=None) -> None:
+    def __init__(self, tracer=None) -> None:
         self.records: List[QuarantineRecord] = []
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: :class:`~repro.media.validate.ValidationMemo` shared across
-        #: every stage boundary that filters rasters through this ledger
-        #: (a private one unless the run lends its own).  All such
-        #: boundaries validate with ``context == ref``, the record's
-        #: content digest (a pure per-raster computation), so memoised
-        #: replay admits byte-identical records without re-rendering
-        #: pixels.
-        self.validation_memo = (
-            validation_memo if validation_memo is not None else ValidationMemo()
-        )
 
     # ------------------------------------------------------------------
     # Admission
@@ -149,36 +126,6 @@ class Quarantine:
             yield
         except Exception as exc:
             self.admit(stage, ref, exc, context)
-
-    def filter_rasters(
-        self,
-        stage: str,
-        items: Sequence[T],
-        ref: Callable[[T], str],
-        raster: Callable[[T], Any],
-        context: Optional[Callable[[T], Mapping[str, Any]]] = None,
-    ) -> List[T]:
-        """Validation boundary over a record sequence, order-preserving.
-
-        Each item's raster is materialised and passed through
-        :func:`~repro.media.validate.validate_raster`; items whose
-        payload access *or* validation fails are admitted to the ledger
-        and dropped, the rest are returned in their original order.
-        Outcomes are memoised by ``ref``, so a ref must name one raster
-        content (the pipeline uses content digests): a repeated ref is
-        answered without materialising its raster again.
-        """
-        survivors: List[T] = []
-        for item in items:
-            try:
-                self.validation_memo.validate(ref(item), lambda it=item: raster(it))
-            except Exception as exc:
-                self.admit(
-                    stage, ref(item), exc, context(item) if context else None
-                )
-                continue
-            survivors.append(item)
-        return survivors
 
     # ------------------------------------------------------------------
     # Accounting

@@ -7,9 +7,7 @@ of the paper's tables.
 
 from __future__ import annotations
 
-from typing import Dict, List
-
-import numpy as np
+from typing import List
 
 from ..finance.parser import CANONICAL_CURRENCIES
 from ..obs.export import render_funnel
@@ -145,7 +143,11 @@ def render_telemetry(report: PipelineReport) -> str:
 
 
 def render_digest(report: PipelineReport) -> str:
-    """A one-screen digest of the whole measurement."""
+    """A one-screen digest of the whole measurement.
+
+    Measured quantities only (the quarantine ledger included); the
+    run-mode counters of :func:`render_telemetry` are rendered apart.
+    """
     evaluation = report.top_evaluation
     stats = report.extraction_stats
     sections = [
@@ -190,7 +192,4 @@ def render_digest(report: PipelineReport) -> str:
     if report.quarantine is not None and len(report.quarantine):
         sections.extend(["", "== quarantine (record-level faults) =="])
         sections.extend(report.quarantine.summary_lines())
-    if report.telemetry is not None:
-        sections.extend(["", "== telemetry (DESIGN.md §9) =="])
-        sections.append(render_telemetry(report))
     return "\n".join(sections)

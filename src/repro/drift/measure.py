@@ -24,7 +24,7 @@ worker counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Dict, Set
 
 from ..web.internet import FetchStatus, RedirectPage
 from ..media.pack import Pack

@@ -13,7 +13,7 @@ an actual image-analysis pipeline rather than a lookup of ground truth.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np

@@ -10,8 +10,8 @@ compiler applied evasion transforms).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Tuple
 
 from .image import ImageKind, SyntheticImage
 

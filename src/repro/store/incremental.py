@@ -5,10 +5,9 @@
 the records newer than the store's watermark (epochs nest, so the append
 is a pure delta), reloads the corpus through the store's canonical
 cursors, and executes the full pipeline with every persisted memo warm —
-the digest-keyed :class:`~repro.vision.cache.VisionCache`, the
-:class:`~repro.media.validate.ValidationMemo`, the per-stage crawl
-:class:`~repro.web.crawler.IngestMemo` and the world perceptual-hash
-memo.
+the digest-keyed :class:`~repro.vision.cache.VisionCache`, the per-stage
+crawl :class:`~repro.web.crawler.IngestMemo` and the world
+perceptual-hash memo.
 
 The headline invariant (DESIGN.md §12, property-tested): an incremental
 run over epochs ``1..N`` is **bit-identical** — crawl digest, quarantine
@@ -31,7 +30,6 @@ from pathlib import Path
 from typing import Dict, Optional, Union
 
 from ..chaos.sites import kill_point
-from ..media.validate import ValidationMemo
 from ..obs import RunTelemetry
 from ..synth.world import WorldConfig, build_world
 from ..vision.cache import VisionCache
@@ -51,12 +49,16 @@ class PersistSession:
 
     :meth:`EwhoringPipeline.run` always runs against one — an empty
     bundle unless a store lends its warm one as ``persist``; every memo
-    is consulted-and-filled during the run.  The store only loads the
-    bundle (:meth:`load`) and writes it back afterwards (:meth:`save`).
+    is consulted-and-filled during the run.  It holds the digest-keyed
+    :class:`~repro.vision.cache.VisionCache` (hash / NSFW / OCR) and one
+    :class:`~repro.web.crawler.IngestMemo` per crawling stage, which
+    replays each payload's render / validate / digest outcome — ingest
+    is the one place a raster is validated, so no other validation memo
+    exists.  The store only loads the bundle (:meth:`load`) and writes
+    it back afterwards (:meth:`save`).
     """
 
     cache: VisionCache = field(default_factory=VisionCache)
-    validation_memo: ValidationMemo = field(default_factory=ValidationMemo)
     ingest_memos: Dict[str, IngestMemo] = field(default_factory=dict)
     #: Entry counts as loaded from the store; memo entries are pure and
     #: immutable (they only accumulate), so an unchanged count at save
@@ -70,7 +72,6 @@ class PersistSession:
     def _sizes(self) -> Dict[str, int]:
         sizes = {
             "vision_cache": sum(len(entry) for _, entry in self.cache.items()),
-            "validation_memo": len(self.validation_memo.items()),
         }
         for stage, memo in self.ingest_memos.items():
             sizes[f"ingest:{stage}"] = len(memo.items())
@@ -80,7 +81,6 @@ class PersistSession:
     def load(cls, store: RunStore) -> "PersistSession":
         session = cls()
         store.load_vision_cache(session.cache)
-        store.load_validation_memo(session.validation_memo)
         for stage in _INGEST_STAGES:
             store.load_ingest_memo(stage, session.ingest_memo(stage))
         session._loaded_sizes = session._sizes()
@@ -91,8 +91,6 @@ class PersistSession:
         loaded = self._loaded_sizes
         if sizes["vision_cache"] != loaded.get("vision_cache"):
             store.save_vision_cache(self.cache)
-        if sizes["validation_memo"] != loaded.get("validation_memo"):
-            store.save_validation_memo(self.validation_memo)
         for stage, memo in sorted(self.ingest_memos.items()):
             if sizes[f"ingest:{stage}"] != loaded.get(f"ingest:{stage}"):
                 store.save_ingest_memo(stage, memo)

@@ -29,7 +29,7 @@ import os
 import sqlite3
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 from .errors import StoreConfigError, StoreCorruptionError
 from .sqlite import RunStore
@@ -63,7 +63,6 @@ _SALVAGE_TABLES = (
     "quarantine",
     "images",
     "vision_cache",
-    "validation_memo",
     "ingest_memo",
     "world_hashes",
     "blobs",

@@ -8,9 +8,8 @@ One :class:`RunStore` file persists the full funnel across runs:
   cutoff) up to which the corpus has been generated and measured;
 * the warm-path memos that make delta runs cheap: the digest-keyed
   :class:`~repro.vision.cache.VisionCache`, the per-payload crawl
-  :class:`~repro.web.crawler.IngestMemo`, the
-  :class:`~repro.media.validate.ValidationMemo` and the world
-  perceptual-hash memo;
+  :class:`~repro.web.crawler.IngestMemo` and the world perceptual-hash
+  memo;
 * run history — one row per pipeline run with its digest, funnel and
   quarantine ledger, plus persisted longitudinal aggregates as JSON
   blobs.
@@ -140,12 +139,6 @@ CREATE TABLE IF NOT EXISTS vision_cache (
     field TEXT NOT NULL,
     value TEXT NOT NULL,
     PRIMARY KEY (digest, field)
-);
-CREATE TABLE IF NOT EXISTS validation_memo (
-    digest TEXT PRIMARY KEY,
-    ok INTEGER NOT NULL,
-    error_type TEXT,
-    message TEXT
 );
 CREATE TABLE IF NOT EXISTS ingest_memo (
     stage TEXT NOT NULL,
@@ -667,34 +660,6 @@ class RunStore:
             ) from exc
         cache.preload(list(grouped.items()))
         return len(grouped)
-
-    def save_validation_memo(self, memo) -> int:
-        items = memo.items()
-        self._executemany(
-            "INSERT OR REPLACE INTO validation_memo "
-            "(digest, ok, error_type, message) VALUES (?, ?, ?, ?)",
-            (
-                (
-                    digest,
-                    int(outcome is None),
-                    None if outcome is None else outcome[0],
-                    None if outcome is None else outcome[1],
-                )
-                for digest, outcome in items
-            ),
-        )
-        self.commit()
-        return len(items)
-
-    def load_validation_memo(self, memo) -> int:
-        rows = self._execute(
-            "SELECT digest, ok, error_type, message FROM validation_memo"
-        ).fetchall()
-        memo.preload(
-            (digest, None if ok else (error_type, message))
-            for digest, ok, error_type, message in rows
-        )
-        return len(rows)
 
     def save_ingest_memo(self, stage: str, memo) -> int:
         items = memo.items()

@@ -11,7 +11,7 @@ overlap and noise that the hybrid classifier is useful but imperfect
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 

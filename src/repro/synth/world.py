@@ -18,9 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Dict, List, Optional, Set, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Set
 
 from .._rng import SeedSequenceTree
 from ..forum.dataset import ForumDataset
@@ -37,7 +35,6 @@ from ..web.internet import SimulatedInternet
 from ..web.payload_faults import PayloadFaultInjector, payload_profile
 from ..vision.photodna import robust_hash
 from .forum_gen import (
-    DATASET_END,
     ForumWorldGenerator,
     GeneratedForums,
     IdAllocator,

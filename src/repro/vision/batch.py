@@ -38,7 +38,7 @@ from ..media.validate import (
 )
 from ..obs.trace import NULL_TRACER
 from .bits import hamming_matrix, pack_bits_rows, popcount
-from .photodna import _HASH_GRID, _resize_axis, _to_grayscale, robust_hash
+from .photodna import _HASH_GRID, _resize_axis, _to_grayscale
 
 __all__ = [
     "hamming_matrix",

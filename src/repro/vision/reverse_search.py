@@ -12,7 +12,7 @@ copies match while mirrored copies (the documented evasion) do not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from typing import Dict, List, Optional, Sequence, Tuple
 

@@ -422,11 +422,10 @@ class Crawler:
     ``breaker_threshold``/``breaker_cooldown`` configure the per-domain
     circuit breakers.
 
-    ``validate_payloads`` applies :func:`~repro.media.validate.
-    validate_raster` to every downloaded raster at the ingest boundary;
-    payloads failing the contract are excised into the quarantine ledger
-    instead of entering the measurement.  Disable it only to measure the
-    validation overhead itself (``benchmarks/bench_r3_quarantine.py``).
+    Every downloaded raster crosses :func:`~repro.media.validate.
+    validate_raster` at the ingest boundary — the one place the pipeline
+    validates a payload; payloads failing the contract are excised into
+    the quarantine ledger instead of entering the measurement.
     """
 
     def __init__(
@@ -436,7 +435,6 @@ class Crawler:
         breaker_threshold: int = 5,
         breaker_cooldown: float = 60.0,
         jitter_seed: int = 0,
-        validate_payloads: bool = True,
         ingest_memo: Optional[IngestMemo] = None,
     ):
         self._internet = internet
@@ -444,7 +442,6 @@ class Crawler:
         self._breaker_threshold = breaker_threshold
         self._breaker_cooldown = breaker_cooldown
         self._jitter_seed = jitter_seed
-        self._validate_payloads = validate_payloads
         #: Memo of per-payload ingest outcomes shared across crawls (a
         #: run's or a store's); a hit skips the render/validate/digest
         #: work (see IngestMemo).
@@ -535,14 +532,8 @@ class Crawler:
 
         # Ingest outcomes are keyed by URL, so they hold only while the
         # internet's payloads stay fixed: a crawler given no memo keeps
-        # a private one per crawl.  An unvalidated crawl (the overhead
-        # baseline of benchmarks/bench_r3_quarantine.py) does too, since
-        # a shared memo must only ever replay validated outcomes.
-        memo = (
-            self._ingest_memo
-            if self._ingest_memo is not None and self._validate_payloads
-            else IngestMemo()
-        )
+        # a private one per crawl.
+        memo = self._ingest_memo if self._ingest_memo is not None else IngestMemo()
         harvest = _Harvest(quarantine=quarantine, stage=stage, memo=memo)
         attempt_logs: List[LinkAttemptLog] = []
         occurrences: Dict[str, int] = {}
@@ -780,9 +771,7 @@ class Crawler:
             )
             return None
         try:
-            pixels = image.pixels
-            if self._validate_payloads:
-                validate_raster(pixels, context=url_str)
+            validate_raster(image.pixels, context=url_str)
             crawled = CrawledImage(
                 image=image,
                 digest=content_digest(image),

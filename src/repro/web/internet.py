@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import string
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from typing import Dict, Iterator, List, Optional, Union
 

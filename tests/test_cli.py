@@ -173,6 +173,19 @@ class TestCommands:
         assert "== selection (§3) ==" in output
         assert "key actors:" in output
 
+    def test_run_prints_each_block_once(self, tmp_path, capsys):
+        out = tmp_path / "tables"
+        code = main(["run", *CLI_WORLD, "--annotate", "200", "--out", str(out)])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        funnel_header = [line for line in lines if line.split() == ["stage", "count"]]
+        assert len(funnel_header) == 1
+        for prefix in ("vision cache:", "crawl:", "breakers:", "quarantine:"):
+            assert sum(line.startswith(prefix) for line in lines) == 1, prefix
+        # the digest file is the measurement alone: no run-mode counters
+        digest = (out / "digest.txt").read_text()
+        assert "vision cache" not in digest and "metrics:" not in digest
+
     def test_run_with_fault_profile_and_resume(self, tmp_path, capsys):
         ckpt = tmp_path / "crawl.json"
         code = main(

@@ -1,8 +1,10 @@
 """End-to-end pipeline integration tests: cross-stage invariants."""
 
+import numpy as np
 import pytest
 
 from repro import build_world, pipeline_for_world, run_pipeline
+from repro.core.nsfv import NsfvClassifier
 from repro.web import FetchStatus
 
 
@@ -101,3 +103,42 @@ class TestDeterminism:
         assert len(report_a.links.all_links) == len(report_b.links.all_links)
         assert report_a.earnings.total_usd == report_b.earnings.total_usd
         assert report_a.provenance.summary("packs") == report_b.provenance.summary("packs")
+
+
+class ConstantScorer:
+    """NSFW scorer stub: every raster scores the same."""
+
+    def score(self, pixels):
+        return 0.9
+
+
+class TestOneNsfwScorerPerRun:
+    def test_pack_sampling_uses_the_nsfv_scorer(self):
+        """Provenance samples packs by the run's NSFV scorer.
+
+        Under a constant scorer every pack member ties, so the stable
+        score sort keeps crawl order and the picks are the first, median
+        and last distinct member of each pack.
+        """
+        world = build_world(seed=19, scale=0.006, with_other_activity=False)
+        pipeline = pipeline_for_world(world)
+        pipeline.nsfv = NsfvClassifier(scorer=ConstantScorer())
+        truth = world.forums
+        report = pipeline.run(
+            top_oracle=lambda thread_id: truth.thread_types.get(thread_id) == "top",
+            proof_oracle=truth.proof_truth.get,
+            annotate_n=200,
+        )
+
+        members = {}
+        for crawled in report.crawl.pack_images:
+            if report.abuse.is_clean(crawled):
+                members.setdefault(crawled.pack_id, {}).setdefault(crawled.digest)
+        assert any(len(digests) > 3 for digests in members.values())
+        expected = set()
+        for pack_id, digests in members.items():
+            ordered = list(digests)
+            picks = {int(round(p)) for p in np.linspace(0, len(ordered) - 1, 3)}
+            expected |= {(pack_id, ordered[i]) for i in picks}
+        sampled = {(o.pack_id, o.digest) for o in report.provenance.pack_outcomes}
+        assert sampled == expected

@@ -1,18 +1,9 @@
 """Tests for the record-level quarantine ledger."""
 
-import numpy as np
 import pytest
 
 from repro.core.quarantine import Quarantine, QuarantineRecord
 from repro.media.validate import NonFinitePixelError
-
-
-def poison():
-    return np.full((16, 16, 3), np.nan)
-
-
-def clean():
-    return np.zeros((16, 16, 3))
 
 
 class TestAdmission:
@@ -65,42 +56,6 @@ class TestGuard:
             with ledger.guard("provenance", "digest-1"):
                 raise KeyboardInterrupt()
         assert len(ledger) == 0
-
-
-class TestFilterRasters:
-    def test_order_preserving_excision(self):
-        ledger = Quarantine()
-        items = [("a", clean()), ("b", poison()), ("c", clean())]
-        survivors = ledger.filter_rasters(
-            "nsfv", items, ref=lambda i: i[0], raster=lambda i: i[1]
-        )
-        assert [name for name, _ in survivors] == ["a", "c"]
-        assert ledger.refs("nsfv") == {"b"}
-        assert ledger.records[0].error_type == "NonFinitePixelError"
-
-    def test_raster_access_failure_is_quarantined_too(self):
-        def exploding(item):
-            if item == "bad":
-                raise OSError("disk fell over")
-            return clean()
-
-        ledger = Quarantine()
-        survivors = ledger.filter_rasters(
-            "abuse_filter", ["ok", "bad"], ref=str, raster=exploding
-        )
-        assert survivors == ["ok"]
-        assert ledger.records[0].error_type == "OSError"
-
-    def test_context_callable(self):
-        ledger = Quarantine()
-        ledger.filter_rasters(
-            "provenance",
-            ["x"],
-            ref=str,
-            raster=lambda i: poison(),
-            context=lambda i: {"group": "packs"},
-        )
-        assert ledger.records[0].context == {"group": "packs"}
 
 
 class TestAccounting:

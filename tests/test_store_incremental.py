@@ -196,9 +196,61 @@ class TestPersistSession:
         run_incremental(path, epoch=3, **WORLD_KW)
         with RunStore(path) as store:
             session = PersistSession.load(store)
-            session.validation_memo.record_ok("brand-new-digest")
+            session.ingest_memo("url_crawl").record_ok(
+                ("https://brand.new/x", None, None), "brand-new-digest"
+            )
             session.save(store)
             row = store._execute(
-                "SELECT ok FROM validation_memo WHERE digest='brand-new-digest'"
+                "SELECT ok, digest FROM ingest_memo "
+                "WHERE stage='url_crawl' AND url='https://brand.new/x'"
             ).fetchone()
-        assert row is not None and row[0] == 1
+        assert row is not None and tuple(row) == (1, "brand-new-digest")
+
+
+class TestLegacyValidationMemoTable:
+    """A store written before raster validation moved wholly to crawl
+    ingest still carries a ``validation_memo`` table.  Nothing reads it:
+    such a store verifies, repairs (the salvage does not copy the table)
+    and runs its next epoch exactly like a cold run."""
+
+    @pytest.mark.parametrize("repair", [False, True], ids=["as-is", "repaired"])
+    def test_next_epoch_equals_cold(self, tmp_path, repair):
+        from repro.store import repair_store, verify_store
+
+        path = tmp_path / "parent.sqlite"
+        run_incremental(path, epoch=2, **WORLD_KW)
+        with RunStore(path) as store, store.transaction():
+            store._execute(
+                "CREATE TABLE validation_memo (digest TEXT PRIMARY KEY, "
+                "ok INTEGER NOT NULL, error_type TEXT, message TEXT)"
+            )
+            store._execute(
+                "INSERT INTO validation_memo VALUES "
+                "('clean-digest', 1, NULL, NULL), "
+                "('poison-digest', 0, 'TruncatedRasterError', 'truncated')"
+            )
+        verify_store(path)
+
+        if repair:
+            # An orphaned quarantine row makes verify refuse the store,
+            # so repair has to rebuild it from its readable rows.
+            with RunStore(path) as store, store.transaction():
+                store._execute(
+                    "INSERT INTO quarantine VALUES "
+                    "(9999, 0, 'url_crawl', 'orphan', 'E', 'm', '{}')"
+                )
+            report = repair_store(path, backup=False)
+            assert any("rebuilt" in action for action in report.actions)
+            with RunStore(path) as store:
+                tables = {
+                    row[0] for row in store._execute(
+                        "SELECT name FROM sqlite_master WHERE type='table'"
+                    )
+                }
+            assert "validation_memo" not in tables
+
+        inc = run_incremental(path, epoch=3, **WORLD_KW)
+        cold = run_incremental(tmp_path / "cold.sqlite", epoch=3, **WORLD_KW)
+        assert inc.crawl_digest == cold.crawl_digest
+        assert ledger(inc) == ledger(cold)
+        assert inc.measurement == cold.measurement

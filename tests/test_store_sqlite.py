@@ -13,7 +13,6 @@ from datetime import datetime, timedelta
 import pytest
 
 from repro.forum import Actor, Board, Forum, ForumDataset, Post, Thread
-from repro.media.validate import ValidationMemo
 from repro.store import (
     RunStore,
     StoreConfigError,
@@ -219,19 +218,6 @@ class TestMemoPersistence:
         assert store.load_vision_cache(warm) == 2
         assert warm.get("d1", "nsfw") == {"score": 0.25}
         assert warm.get("d2", "hash") == 777
-
-    def test_validation_memo_round_trip(self, store):
-        memo = ValidationMemo()
-        memo.record_ok("clean")
-        memo.preload([("poison", ("TruncatedRasterError", "raster truncated"))])
-        store.save_validation_memo(memo)
-        warm = ValidationMemo()
-        store.load_validation_memo(warm)
-        assert warm.lookup("clean") == (True, None)
-        assert warm.lookup("poison") == (
-            True,
-            ("TruncatedRasterError", "raster truncated"),
-        )
 
     def test_ingest_memo_round_trip_with_null_keys(self, store):
         memo = IngestMemo()
